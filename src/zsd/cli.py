@@ -7,6 +7,7 @@ to stderr at the level named by ZSD_LOG (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -168,10 +169,12 @@ def _cmd_detect(args) -> int:
     cluster_sink = None
     out = sys.stdout
     if args.dump_features:
-        out.write("entity,window_id," + ",".join(f"f{i}" for i in range(1, 13)) + "\n")
+        # entity names come from the input, so they are quoted where needed
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["entity", "window_id", *(f"f{i}" for i in range(1, 13))])
 
         def feature_sink(entity, window_id, values):
-            out.write(f"{entity},{window_id}," + ",".join(f"{v:.6f}" for v in values) + "\n")
+            rows.writerow([entity, window_id, *(f"{v:.6f}" for v in values)])
 
     if args.dump_clusters:
         out.write("window_id,assignment,neighbor_count\n")
@@ -187,6 +190,8 @@ def _cmd_detect(args) -> int:
         cluster_sink=cluster_sink,
     )
     stats.parse_seconds = parse_seconds
+    stats.lines_skipped = stream.skipped_count
+    stats.ts_out_of_order = stream.monotonicity_warnings
 
     with open(args.output, "w", encoding="utf-8") as fh:
         for v in verdicts:

@@ -26,13 +26,12 @@ A reservoir works in one of two modes:
      its first probe leaves fresh bounds for the shortcut.
 
 * Exact (``exact_counts=True``, for --dump-clusters diagnostics). Every
-  retained point is scanned by one fused kernel (JIT-compiled when numba is
-  available, vectorized numpy otherwise) that counts neighbors, finds the
-  nearest core neighbor, applies the arrival-side neighbor-count increments
-  and stores the new vector. Neighbor counts gain increments as new points
-  arrive; losses from FIFO eviction are not propagated (the evicted point's
-  neighbor set is not stored), so this staleness can only inflate the
-  informational core flags and cluster ids.
+  retained point is scanned by one vectorized numpy pass that counts
+  neighbors, finds the nearest core neighbor, applies the arrival-side
+  neighbor-count increments and stores the new vector. Neighbor counts
+  gain increments as new points arrive; losses from FIFO eviction are not
+  propagated (the evicted point's neighbor set is not stored), so this
+  staleness can only inflate the informational core flags and cluster ids.
 
 Both modes make the same Inlier/Outlier partition: each compares the same
 squared distances with epsilon squared, and the shortcut only fires when
@@ -50,14 +49,6 @@ import numpy as np
 
 from .types import ClusterAssignment, FeatureVector, FEATURE_COUNT
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
 # newest points examined by the first numpy probe of a decision-only scan,
 # and the growth factor of each further probe. Reservoirs of at most this
 # many points are always scanned whole, so their counts are exact.
@@ -71,8 +62,10 @@ _MARGIN = 1e-9
 # does not tell clusters apart
 _UNNAMED_CLUSTER = 0
 
-# chunk of the numba kernel's slot-order walk
-_SCAN_CHUNK = 256
+# width of the top-slot band that wins ties between equidistant core
+# neighbors in the exact scan. Kept fixed: it decides the cluster ids that
+# --dump-clusters writes
+_TIE_BAND = 256
 
 _dist = math.dist
 
@@ -129,69 +122,14 @@ def _scan_insert_numpy(pts, counts, n, slot, x, thr, min_pts):
     idx = np.flatnonzero(mask & (counts[:n] >= min_pts))
     if idx.size:
         nearest = idx[d2[idx] == d2[idx].min()]
-        # a tie goes to the top _SCAN_CHUNK slots first, as in the numba
-        # kernel's walk, then to the lowest slot
-        top = nearest[nearest >= n - _SCAN_CHUNK]
+        # a tie goes to the top _TIE_BAND slots first, then to the lowest slot
+        top = nearest[nearest >= n - _TIE_BAND]
         best = int(top[0] if top.size else nearest[0])
     cnt = int(np.count_nonzero(mask))
     np.add(counts[:n], mask, out=counts[:n], casting="unsafe")
     pts[slot] = x
     counts[slot] = cnt
     return cnt, best
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _scan_insert_12(pts, counts, n, slot, x, thr, min_pts, scan_all):  # pragma: no cover
-        # unrolled for the fixed 12-wide feature vector; branch-free inner
-        # sum so the loop vectorizes within each chunk. Exact reservoirs
-        # call it with scan_all=True; the early exit walks slots, not ring
-        # age, so it would start at the wrong points once the ring wraps.
-        x0 = x[0]; x1 = x[1]; x2 = x[2]; x3 = x[3]
-        x4 = x[4]; x5 = x[5]; x6 = x[6]; x7 = x[7]
-        x8 = x[8]; x9 = x[9]; x10 = x[10]; x11 = x[11]
-        cnt = 0
-        best = -1
-        bestd = 1e300
-        first_lo = n - _SCAN_CHUNK
-        if first_lo < 0:
-            first_lo = 0
-        seg = 0
-        lo = first_lo
-        hi = n
-        while hi > lo:
-            for i in range(lo, hi):
-                r = pts[i]
-                t0 = r[0] - x0; t1 = r[1] - x1; t2 = r[2] - x2; t3 = r[3] - x3
-                t4 = r[4] - x4; t5 = r[5] - x5; t6 = r[6] - x6; t7 = r[7] - x7
-                t8 = r[8] - x8; t9 = r[9] - x9; t10 = r[10] - x10; t11 = r[11] - x11
-                d = (t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3
-                     + t4 * t4 + t5 * t5 + t6 * t6 + t7 * t7
-                     + t8 * t8 + t9 * t9 + t10 * t10 + t11 * t11)
-                if d <= thr:
-                    cnt += 1
-                    if counts[i] >= min_pts and d < bestd:
-                        bestd = d
-                        best = i
-                    counts[i] += 1
-            if not scan_all and cnt >= min_pts:
-                break
-            # advance through the remaining (older) chunks in order
-            lo = seg * _SCAN_CHUNK
-            hi = lo + _SCAN_CHUNK
-            if hi > first_lo:
-                hi = first_lo
-            seg += 1
-        pts[slot] = x
-        counts[slot] = cnt
-        return cnt, best
-
-
-def warm_kernel() -> None:
-    """Trigger JIT compilation/cache load outside any latency-sensitive path."""
-    ref = ReferenceSet(2, exact_counts=True)
-    assign_raw([0.0] * FEATURE_COUNT, ref, 0.1, 1)
 
 
 def _as_list(x: FeatureVector | np.ndarray | list | tuple) -> list[float]:
@@ -205,12 +143,12 @@ class ReferenceSet:
 
     One instance per entity: an entity's density context is its own recent
     behavior, which keeps every entity's verdicts independent of how other
-    entities interleave or shard. Per-point neighbor counts and cluster ids
+    entities interleave. Per-point neighbor counts and cluster ids
     (``counts``, ``ids``) exist only with ``exact_counts=True``.
     """
 
     __slots__ = ("capacity", "dim", "size", "inserted", "pts", "counts", "ids",
-                 "_next_cluster_id", "_use_kernel", "exact_counts",
+                 "_next_cluster_id", "exact_counts",
                  "_anchor", "_bounds", "_bounds_oldest")
 
     def __init__(self, capacity: int, dim: int = FEATURE_COUNT,
@@ -226,7 +164,6 @@ class ReferenceSet:
         self.counts = np.zeros(capacity, dtype=np.int32) if exact_counts else None
         self.ids = np.full(capacity, -1, dtype=np.int32) if exact_counts else None
         self._next_cluster_id = 0
-        self._use_kernel = _HAVE_NUMBA and dim == FEATURE_COUNT
         # shortcut state: the newest vector, ascending upper bounds on its
         # distances to distinct retained points (bounds[0] = 0.0 is the
         # anchor itself), and the insertion index that every one of those
@@ -257,10 +194,7 @@ class ReferenceSet:
 
 def _assign_exact(x: np.ndarray, ref: ReferenceSet, n: int, slot: int,
                   thr: float, min_pts: int) -> tuple[bool, int, int]:
-    if ref._use_kernel:
-        cnt, best = _scan_insert_12(ref.pts, ref.counts, n, slot, x, thr, min_pts, True)
-    else:
-        cnt, best = _scan_insert_numpy(ref.pts, ref.counts, n, slot, x, thr, min_pts)
+    cnt, best = _scan_insert_numpy(ref.pts, ref.counts, n, slot, x, thr, min_pts)
     if cnt >= min_pts:
         if best >= 0:
             cid = int(ref.ids[best])

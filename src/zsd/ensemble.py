@@ -15,16 +15,15 @@ smooth_m=1 the identity and means smoothing can only suppress positives.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .types import ClusterAssignment, Label, PipelineConfig, ZsdError
+from .types import Label, PipelineConfig, ZsdError
 
 # components 1,4,8,9,11 are the activity-rate features; all below this
 # threshold means the window is quiescent
 PREFILTER_THRESHOLD = 0.05
-_RATE_COMPONENTS = (0, 3, 7, 8, 10)
 
 
 class ContractError(ZsdError):
@@ -41,10 +40,9 @@ def phase1_prefilter(values) -> bool:
     """True when every activity-rate component is quiescent (strictly below
     the threshold): the event is benign on the fast path and skips
     clustering and scoring entirely."""
-    for i in _RATE_COMPONENTS:
-        if values[i] >= PREFILTER_THRESHOLD:
-            return False
-    return True
+    pf = PREFILTER_THRESHOLD
+    return (values[0] < pf and values[3] < pf and values[7] < pf
+            and values[8] < pf and values[10] < pf)
 
 
 @dataclass(slots=True)
@@ -58,73 +56,43 @@ class Deferral:
     payload: Any = None    # opaque caller context (timing, refs)
 
 
-class _EntityTrack:
+class EnsembleState:
+    """One entity's refinement record: its recent raw labels (the smoothing
+    ring), its event count and latest timestamp, and its pending deferrals.
+
+    A deferral's deadline is the entity's event count when it was deferred
+    plus the fixed reeval_window, so deadlines ascend in queue order and
+    the due deferrals are always a prefix of ``pending``.
+    """
+
     __slots__ = ("ring", "events_seen", "pending", "max_ts")
 
     def __init__(self, smooth_window: int):
         self.ring: deque[Label] = deque(maxlen=smooth_window)
         self.events_seen = 0
-        self.pending: list[Deferral] = []
+        self.pending: deque[Deferral] = deque()
         self.max_ts = 0
 
+    def observe(self, ts: int) -> None:
+        """Count one event of this entity and advance its decision clock."""
+        self.events_seen += 1
+        if ts > self.max_ts:
+            self.max_ts = ts
 
-@dataclass
-class EnsembleState:
-    """Per-shard refinement state: smoothing rings, deferrals, warmup.
-
-    warmup_count counts events this state has observed. The pipeline stamps
-    warmup from a run-global counter at routing time so that worker count
-    cannot change verdicts; standalone users of decide() fall back to this
-    state's own counter.
-    """
-
-    smooth_window: int
-    warmup_grace: int = 0
-    warmup_count: int = 0
-    _entities: dict[str, _EntityTrack] = field(default_factory=dict)
-
-    def track(self, entity: str) -> _EntityTrack:
-        t = self._entities.get(entity)
-        if t is None:
-            t = self._entities[entity] = _EntityTrack(self.smooth_window)
-        return t
-
-    def observe(self, entity: str, ts: int) -> _EntityTrack:
-        """Count one event for warmup/deferral purposes; returns the track."""
-        self.warmup_count += 1
-        t = self.track(entity)
-        t.events_seen += 1
-        if ts > t.max_ts:
-            t.max_ts = ts
-        return t
-
-    @property
-    def in_warmup(self) -> bool:
-        return self.warmup_grace > 0 and self.warmup_count <= self.warmup_grace
-
-    def defer(self, track: _EntityTrack, deferral: Deferral) -> None:
-        track.pending.append(deferral)
-
-    def due_deferrals(self, track: _EntityTrack) -> list[Deferral]:
-        """Pop deferrals whose deadline has been reached for this entity."""
-        if not track.pending:
-            return []
-        due = [d for d in track.pending if d.deadline <= track.events_seen]
-        if due:
-            track.pending = [d for d in track.pending if d.deadline > track.events_seen]
+    def due_deferrals(self) -> list[Deferral]:
+        """Pop the deferrals whose deadline has been reached, oldest first."""
+        pending = self.pending
+        seen = self.events_seen
+        due = []
+        while pending and pending[0].deadline <= seen:
+            due.append(pending.popleft())
         return due
 
-    def drain(self) -> list[tuple[_EntityTrack, Deferral]]:
-        """Pop every outstanding deferral (stream end), in entity-arrival order."""
-        out = []
-        for track in self._entities.values():
-            for d in track.pending:
-                out.append((track, d))
-            track.pending = []
-        return out
-
-    def pending_count(self) -> int:
-        return sum(len(t.pending) for t in self._entities.values())
+    def drain(self) -> list[Deferral]:
+        """Pop every outstanding deferral (stream end), oldest first."""
+        due = list(self.pending)
+        self.pending.clear()
+        return due
 
 
 def decide_raw(score: float, cfg: PipelineConfig) -> Decision:
@@ -137,30 +105,6 @@ def decide_raw(score: float, cfg: PipelineConfig) -> Decision:
     return Decision.DEFERRED
 
 
-def decide(
-    assignment: ClusterAssignment,
-    score: float | None,
-    cfg: PipelineConfig,
-    state: EnsembleState,
-    in_warmup: bool | None = None,
-) -> Decision:
-    """Raw threshold decision for one event.
-
-    Inliers are benign. Warmup absorbs outliers as benign without a score.
-    Past warmup an outlier must carry a score and goes through the
-    tau/delta band.
-    """
-    if not assignment.outlier:
-        return Decision.BENIGN
-    if in_warmup is None:
-        in_warmup = state.in_warmup
-    if in_warmup:
-        return Decision.BENIGN
-    if score is None:
-        raise ContractError("outlier past warmup reached decide() without a score")
-    return decide_raw(score, cfg)
-
-
 def resolve_deferred(score: float, cfg: PipelineConfig) -> Label:
     """Forced resolution of an ambiguous event: strict score > tau."""
     return Label.MALICIOUS if score > cfg.tau else Label.BENIGN
@@ -171,7 +115,7 @@ def smooth(ring: deque[Label], raw: Label, cfg: PipelineConfig) -> tuple[Label, 
 
     Returns (final, changed). A raw malicious label becomes final only when
     malicious labels among ring + raw reach smooth_m; raw benign is final
-    as-is. The caller appends raw to the ring afterwards (push_raw).
+    as-is. The caller appends raw to the ring afterwards.
     """
     if raw is Label.BENIGN:
         return Label.BENIGN, False
@@ -183,6 +127,3 @@ def smooth(ring: deque[Label], raw: Label, cfg: PipelineConfig) -> tuple[Label, 
         return Label.MALICIOUS, False
     return Label.BENIGN, True
 
-
-def push_raw(ring: deque[Label], raw: Label) -> None:
-    ring.append(raw)

@@ -1,15 +1,13 @@
-"""End-to-end orchestration: route, window, extract, gate, score, refine.
+"""End-to-end orchestration: window, extract, gate, score, refine, merge.
 
-Workers are logical shards: a router partitions events by a stable entity
-hash, every shard owns its state exclusively, and a merger sorts the
-combined output by (event_ts, entity). Shards are driven sequentially on
-one thread -- the contract is state isolation and ordered merging, not OS
-parallelism -- so a run is deterministic for any worker count, and since
-all per-event state (window, reference set, sequence, smoothing ring) is
-per-entity, worker count cannot change any verdict.
+All per-event state (window, reference set, sequence, smoothing ring,
+deferrals) belongs to one entity, held in a single entity table, and the
+output is sorted by (event_ts, entity). So a run is deterministic, and how
+entities interleave cannot change any entity's verdicts. The ``workers``
+setting is validated and echoed in the stats; no verdict depends on it.
 
-Warmup is stamped by the router from a run-global event counter, before
-shard dispatch, for the same reason.
+Warmup is the first ``warmup_grace`` events of the run: in it the density
+gate's outliers are absorbed as benign, unscored.
 
 Latency accounting: per-event latency is measured from dequeue to verdict
 and excludes input parsing; callers that want parse time separated should
@@ -22,7 +20,6 @@ from __future__ import annotations
 import json
 import operator
 import time
-import zlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -31,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import ensemble as ens
-from .clustering import ReferenceSet, assign_raw, warm_kernel
+from .clustering import ReferenceSet, assign_raw
 from .ensemble import Decision, Deferral, EnsembleState
 from .features import EntityWindow, extract_values
 from .scorer import ScorerModel, forward
@@ -62,40 +59,22 @@ _DEFER = Decision.DEFERRED
 _FLAG = Decision.MALICIOUS
 
 
-def shard_of(entity: str, workers: int) -> int:
-    """Stable entity -> shard assignment."""
-    return zlib.crc32(entity.encode("utf-8")) % workers
-
-
 class _EntityState:
-    """Everything the pipeline retains for one entity (single-shard owned)."""
+    """Everything the pipeline retains for one entity."""
 
     __slots__ = ("window", "ref", "recent", "track")
 
-    def __init__(self, entity: str, cfg: PipelineConfig, track,
+    def __init__(self, entity: str, cfg: PipelineConfig,
                  exact_counts: bool = False):
         self.window = EntityWindow(entity, cfg.window_events)
         self.ref = ReferenceSet(cfg.reference_capacity, exact_counts=exact_counts)
         # last K feature vectors, oldest first
         self.recent: deque[list[float]] = deque(maxlen=cfg.seq_len)
-        self.track = track  # the ensemble's per-entity refinement state
+        self.track = EnsembleState(cfg.smooth_window)
 
     def sequence(self) -> np.ndarray:
         """The entity's last K vectors as a (T, F) matrix, oldest first."""
         return np.asarray(self.recent, dtype=np.float64)
-
-
-class ShardState:
-    """One worker's private state."""
-
-    __slots__ = ("shard_id", "entities", "ensemble")
-
-    def __init__(self, shard_id: int, cfg: PipelineConfig, warmup_grace: int):
-        self.shard_id = shard_id
-        self.entities: dict[str, _EntityState] = {}
-        self.ensemble = EnsembleState(
-            smooth_window=cfg.smooth_window, warmup_grace=warmup_grace
-        )
 
 
 @dataclass
@@ -107,6 +86,8 @@ class RunStats:
     only (dequeue to verdict); parse_seconds is reported separately when
     the caller parsed upfront. peak_retained_items counts buffered window
     events + reference vectors + pending deferrals at the high-water mark.
+    lines_skipped and ts_out_of_order are the input's malformed lines and
+    backwards timestamps, filled in by a caller that parsed the input.
     """
 
     events_in: int = 0
@@ -127,13 +108,15 @@ class RunStats:
     deferred_resolution_ms_max: float = 0.0
     peak_retained_items: int = 0
     entities_seen: int = 0
+    lines_skipped: int = 0
+    ts_out_of_order: int = 0
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
 class Pipeline:
-    """Drives the full per-event cascade over sharded state."""
+    """Drives the full per-event cascade over one entity table."""
 
     def __init__(
         self,
@@ -150,14 +133,9 @@ class Pipeline:
         )
         self.feature_sink = feature_sink
         self.cluster_sink = cluster_sink
-        self.shards = [
-            ShardState(i, cfg, self.warmup_grace) for i in range(cfg.workers)
-        ]
-        self._prefilter_threshold = ens.PREFILTER_THRESHOLD
-        if cluster_sink is not None:
-            warm_kernel()  # only exact reservoirs run the JIT kernel
+        # per-entity state, in order of first arrival
+        self.entities: dict[str, _EntityState] = {}
         self.verdicts: list[Verdict] = []  # output of the run in progress
-        self._global_events = 0
         self._retained = 0
         self._peak_retained = 0
         # wall-clock ns per event, and per deferred event until resolution
@@ -167,9 +145,8 @@ class Pipeline:
 
     def _resolve(
         self,
-        shard: ShardState,
         state: _EntityState,
-        track,
+        track: EnsembleState,
         deferral: Deferral,
         now_ns: int,
     ) -> Verdict:
@@ -184,9 +161,7 @@ class Pipeline:
             _DEFERRED_RESOLVED, track.max_ts,
         )
 
-    def process_event(
-        self, event: Event, shard: ShardState, in_warmup: bool | None = None
-    ) -> None:
+    def process_event(self, event: Event, in_warmup: bool) -> None:
         """Run the cascade for one event. Its verdict, plus any deferred
         resolutions that came due, are appended to ``self.verdicts`` (a
         deferred event appends none)."""
@@ -194,21 +169,14 @@ class Pipeline:
         t0 = perf()
         cfg = self.cfg
         entity = event.entity
-        ensemble_state = shard.ensemble
-        state = shard.entities.get(entity)
+        state = self.entities.get(entity)
         if state is None:
-            state = shard.entities[entity] = _EntityState(
-                entity, cfg, ensemble_state.track(entity),
-                exact_counts=self.cluster_sink is not None,
+            state = self.entities[entity] = _EntityState(
+                entity, cfg, exact_counts=self.cluster_sink is not None,
             )
         track = state.track
-        ensemble_state.warmup_count += 1
-        track.events_seen += 1
         event_ts = event.ts
-        if event_ts > track.max_ts:
-            track.max_ts = event_ts
-        if in_warmup is None:
-            in_warmup = ensemble_state.in_warmup
+        track.observe(event_ts)
 
         window = state.window
         retained_delta = 1 if len(window.events) < window.capacity else 0
@@ -222,9 +190,7 @@ class Pipeline:
         out = self.verdicts
         decided_ts = track.max_ts
 
-        pf = self._prefilter_threshold
-        if (values[0] < pf and values[3] < pf and values[7] < pf
-                and values[8] < pf and values[10] < pf):
+        if ens.phase1_prefilter(values):
             track.ring.append(_BENIGN)
             out.append(Verdict(event_ts, entity, _BENIGN, 0.0,
                                _FAST_PATH, decided_ts))
@@ -251,16 +217,13 @@ class Pipeline:
                 if decision is _DEFER:
                     self._deferred_total += 1
                     retained_delta += 1
-                    ensemble_state.defer(
-                        track,
-                        Deferral(
-                            entity=entity,
-                            event_ts=event_ts,
-                            deadline=track.events_seen + cfg.reeval_window,
-                            initial_score=score,
-                            payload=t0,
-                        ),
-                    )
+                    track.pending.append(Deferral(
+                        entity=entity,
+                        event_ts=event_ts,
+                        deadline=track.events_seen + cfg.reeval_window,
+                        initial_score=score,
+                        payload=t0,
+                    ))
                 else:
                     raw = _MALICIOUS if decision is _FLAG else _BENIGN
                     final, changed = ens.smooth(track.ring, raw, cfg)
@@ -270,12 +233,12 @@ class Pipeline:
                                        decided_ts))
 
         if track.pending:
-            due = ensemble_state.due_deferrals(track)
+            due = track.due_deferrals()
             if due:
                 now = perf()
                 retained_delta -= len(due)
                 for deferral in due:
-                    out.append(self._resolve(shard, state, track, deferral, now))
+                    out.append(self._resolve(state, track, deferral, now))
 
         retained = self._retained + retained_delta
         self._retained = retained
@@ -286,18 +249,15 @@ class Pipeline:
     def flush(self) -> None:
         """Resolve every outstanding deferral (stream end) into ``self.verdicts``."""
         now = time.perf_counter_ns()
-        for shard in self.shards:
-            for track, deferral in shard.ensemble.drain():
-                state = shard.entities[deferral.entity]
+        for state in self.entities.values():
+            track = state.track
+            for deferral in track.drain():
                 self._retained -= 1
-                self.verdicts.append(self._resolve(shard, state, track, deferral, now))
+                self.verdicts.append(self._resolve(state, track, deferral, now))
 
     def run(self, events: Iterable[Event]) -> tuple[list[Verdict], RunStats]:
         """Process a whole stream; verdicts come back sorted by
         (event_ts, entity) and number exactly one per input event."""
-        cfg = self.cfg
-        workers = cfg.workers
-        shards = self.shards
         grace = self.warmup_grace
         process_event = self.process_event
         t_start = time.perf_counter()
@@ -306,11 +266,9 @@ class Pipeline:
             if event.truth is not None:
                 event = event.strip_truth()
             n += 1
-            shard = shards[shard_of(event.entity, workers)] if workers > 1 else shards[0]
-            process_event(event, shard, n <= grace)
+            process_event(event, n <= grace)
         self.flush()
         elapsed = time.perf_counter() - t_start
-        self._global_events = n
 
         verdicts = self.verdicts
         self.verdicts = []
@@ -339,7 +297,7 @@ class Pipeline:
             stats.deferred_resolution_ms_mean = float(res.mean())
             stats.deferred_resolution_ms_max = float(res.max())
         stats.peak_retained_items = self._peak_retained
-        stats.entities_seen = sum(len(s.entities) for s in self.shards)
+        stats.entities_seen = len(self.entities)
         return stats
 
 

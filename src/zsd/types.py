@@ -1,7 +1,7 @@
 """Shared domain vocabulary: events, feature vectors, assignments, verdicts, config.
 
 All types here are value objects: once constructed they are never mutated,
-so they can be passed freely between pipeline shards.
+so they can be passed freely between pipeline stages.
 """
 
 from __future__ import annotations

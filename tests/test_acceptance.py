@@ -19,13 +19,12 @@ import pytest
 
 from zsd import simulator, sweep
 from zsd.clustering import ReferenceSet, assign, dbscan_batch
-from zsd.ensemble import Decision, EnsembleState, decide, resolve_deferred, smooth
+from zsd.ensemble import Decision, decide_raw, resolve_deferred, smooth
 from zsd.metrics import score_run, theil_sen_slope
 from zsd.pipeline import run_detection
 from zsd.scorer import ScorerModel, TrainConfig, forward, grad, loss, train
 from zsd.simulator import TruthIndex, generate, make_standard_suites, scenario_from_mapping
 from zsd.types import (
-    ClusterAssignment,
     Label,
     Phase,
     PipelineConfig,
@@ -79,7 +78,6 @@ def s4_result(suites, s1_result):
 def test_criterion_01_algorithm_equivalence():
     """Bare-threshold configuration reduces to the reference branch logic."""
     cfg = validate_config(PipelineConfig(delta=0.0, smooth_m=1))
-    state = EnsembleState(smooth_window=cfg.smooth_window, warmup_grace=0)
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     mismatches = 0
@@ -87,8 +85,6 @@ def test_criterion_01_algorithm_equivalence():
     for i in range(10_000):
         outlier = bool(rng.integers(0, 2))
         score = float(rng.random())
-        assignment = (ClusterAssignment.make_outlier(0) if outlier
-                      else ClusterAssignment.inlier(0, 9))
 
         # reference transcription of the detection branch structure
         if outlier and score > cfg.tau:
@@ -96,8 +92,9 @@ def test_criterion_01_algorithm_equivalence():
         else:
             expected = Label.BENIGN
 
-        decision = decide(assignment, score if outlier else None, cfg, state,
-                          in_warmup=False)
+        # the pipeline's branches past warmup: an inlier is benign unscored,
+        # a scored outlier goes through the band
+        decision = decide_raw(score, cfg) if outlier else Decision.BENIGN
         if decision is Decision.DEFERRED:
             raw = resolve_deferred(score, cfg)
         else:

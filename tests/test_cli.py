@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, file outputs, reproducibility."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -122,6 +124,39 @@ def test_detect_dump_features_csv(workdir, simulated, model_path, capsys, tmp_pa
     assert len(lines) == 51
     first = lines[1].split(",")
     assert len(first) == 14
+
+
+def test_detect_dump_features_quotes_entity_names(model_path, capsys, tmp_path):
+    entity = 'svc,"x"'
+    small = tmp_path / "hostile.jsonl"
+    small.write_text("".join(
+        json.dumps({"ts": i + 1, "entity": entity, "kind": "file_write",
+                    "path": f"/f{i}", "entropy": 7.5, "bytes": 4096}) + "\n"
+        for i in range(5)), encoding="utf-8")
+    rc = main(["detect", "--model", str(model_path), "--input", str(small),
+               "-o", str(tmp_path / "v.jsonl"), "--dump-features"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 6
+    assert all(len(row) == 14 for row in rows)
+    assert [row[0] for row in rows[1:]] == [entity] * 5
+
+
+def test_detect_stats_count_dropped_input(model_path, tmp_path):
+    def line(ts):
+        return json.dumps({"ts": ts, "entity": "p", "kind": "file_read",
+                           "path": "/a", "entropy": 4.0, "bytes": 10})
+    src = tmp_path / "dirty.jsonl"
+    src.write_text("\n".join([line(5), "{not json", line(3), line(9)]) + "\n",
+                   encoding="utf-8")
+    stats = tmp_path / "stats.json"
+    rc = main(["detect", "--model", str(model_path), "--input", str(src),
+               "-o", str(tmp_path / "v.jsonl"), "--stats-out", str(stats)])
+    assert rc == 0
+    doc = json.loads(stats.read_text(encoding="utf-8"))
+    assert doc["events_in"] == 3
+    assert doc["lines_skipped"] == 1
+    assert doc["ts_out_of_order"] == 1
 
 
 def test_detect_dump_clusters_csv(workdir, simulated, model_path, capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Streaming density decisions vs brute force; exact batch DBSCAN."""
 
 import numpy as np
-import pytest
 
 from zsd.clustering import (
     _FIRST_PROBE,
@@ -95,28 +94,9 @@ def test_fast_and_exact_modes_agree_on_decisions():
             assert a.neighbor_count == b.neighbor_count
 
 
-def test_kernel_and_numpy_fallback_agree():
-    # the numba kernel serves exact reservoirs only; decision-only ones
-    # keep no counts or ids to compare
-    rng = np.random.default_rng(7)
-    r_kernel = ReferenceSet(300, exact_counts=True)
-    r_numpy = ReferenceSet(300, exact_counts=True)
-    r_numpy._use_kernel = False
-    if not r_kernel._use_kernel:
-        pytest.skip("numba unavailable; single implementation in play")
-    for i in range(350):
-        p = np.clip(0.3 + 0.1 * rng.standard_normal(12), 0, 1)
-        a = assign(p.copy(), r_kernel, EPS, MIN_PTS)
-        b = assign(p.copy(), r_numpy, EPS, MIN_PTS)
-        assert (a.outlier, a.cluster_id, a.neighbor_count) == \
-               (b.outlier, b.cluster_id, b.neighbor_count)
-    assert np.array_equal(r_kernel.counts, r_numpy.counts)
-    assert np.array_equal(r_kernel.ids, r_numpy.ids)
-
-
 def test_exact_scan_breaks_ties_like_the_kernel():
-    # equidistant core neighbors: the top 256 slots win, as in the numba
-    # kernel's chunk walk, and then the lowest slot
+    # equidistant core neighbors: the top 256 slots win, and then the
+    # lowest slot; --dump-clusters cluster ids depend on this order
     x = np.zeros(12)
     pts = np.full((400, 12), 5.0)
     pts[[10, 20, 290]] = x

@@ -5,24 +5,17 @@ from collections import deque
 import pytest
 
 from zsd.ensemble import (
-    ContractError,
     Decision,
     Deferral,
     EnsembleState,
-    decide,
+    decide_raw,
     phase1_prefilter,
     resolve_deferred,
     smooth,
 )
-from zsd.types import ClusterAssignment, Label, PipelineConfig
+from zsd.types import Label, PipelineConfig
 
 CFG = PipelineConfig()
-OUTLIER = ClusterAssignment.make_outlier(0)
-INLIER = ClusterAssignment.inlier(0, 10)
-
-
-def fresh_state(grace=0):
-    return EnsembleState(smooth_window=CFG.smooth_window, warmup_grace=grace)
 
 
 class TestPrefilter:
@@ -53,37 +46,22 @@ class TestPrefilter:
 
 
 class TestDecide:
-    def test_inlier_is_benign_without_score(self):
-        assert decide(INLIER, None, CFG, fresh_state()) is Decision.BENIGN
-
     def test_outlier_above_band_is_malicious(self):
-        assert decide(OUTLIER, 0.9, CFG, fresh_state()) is Decision.MALICIOUS
+        assert decide_raw(0.9, CFG) is Decision.MALICIOUS
 
     def test_outlier_below_band_is_benign(self):
-        assert decide(OUTLIER, 0.2, CFG, fresh_state()) is Decision.BENIGN
+        assert decide_raw(0.2, CFG) is Decision.BENIGN
 
     def test_band_is_deferred(self):
         for s in (0.46, 0.5, 0.52, 0.55):
-            assert decide(OUTLIER, s, CFG, fresh_state()) is Decision.DEFERRED
+            assert decide_raw(s, CFG) is Decision.DEFERRED
 
     def test_band_edges(self):
         # |s - tau| <= delta defers, strictly outside decides
-        assert decide(OUTLIER, 0.55, CFG, fresh_state()) is Decision.DEFERRED
-        assert decide(OUTLIER, 0.45, CFG, fresh_state()) is Decision.DEFERRED
-        assert decide(OUTLIER, 0.5500001, CFG, fresh_state()) is Decision.MALICIOUS
-        assert decide(OUTLIER, 0.4499999, CFG, fresh_state()) is Decision.BENIGN
-
-    def test_warmup_absorbs_outliers(self):
-        state = fresh_state(grace=3)
-        state.observe("e", 1)
-        assert state.in_warmup
-        assert decide(OUTLIER, None, CFG, state) is Decision.BENIGN
-
-    def test_score_required_past_warmup(self):
-        state = fresh_state()
-        state.observe("e", 1)
-        with pytest.raises(ContractError):
-            decide(OUTLIER, None, CFG, state)
+        assert decide_raw(0.55, CFG) is Decision.DEFERRED
+        assert decide_raw(0.45, CFG) is Decision.DEFERRED
+        assert decide_raw(0.5500001, CFG) is Decision.MALICIOUS
+        assert decide_raw(0.4499999, CFG) is Decision.BENIGN
 
     def test_resolution_is_strict_threshold(self):
         assert resolve_deferred(0.5000001, CFG) is Label.MALICIOUS
@@ -119,32 +97,33 @@ class TestSmooth:
 
 class TestDeferralQueue:
     def test_due_at_deadline(self):
-        state = fresh_state()
-        track = state.observe("e", 10)
-        state.defer(track, Deferral(entity="e", event_ts=10, deadline=3,
-                                    initial_score=0.5))
-        assert state.due_deferrals(track) == []
-        state.observe("e", 11)
-        assert state.due_deferrals(track) == []
-        state.observe("e", 12)
-        due = state.due_deferrals(track)
+        state = EnsembleState(CFG.smooth_window)
+        state.observe(10)
+        state.pending.append(Deferral(entity="e", event_ts=10, deadline=3,
+                                      initial_score=0.5))
+        assert state.due_deferrals() == []
+        state.observe(11)
+        assert state.due_deferrals() == []
+        state.observe(12)
+        due = state.due_deferrals()
         assert len(due) == 1 and due[0].event_ts == 10
-        assert state.due_deferrals(track) == []
-        assert state.pending_count() == 0
+        assert state.due_deferrals() == []
+        assert not state.pending
 
     def test_drain_pops_everything(self):
-        state = fresh_state()
-        t1 = state.observe("a", 1)
-        t2 = state.observe("b", 2)
-        state.defer(t1, Deferral(entity="a", event_ts=1, deadline=99, initial_score=0.5))
-        state.defer(t2, Deferral(entity="b", event_ts=2, deadline=99, initial_score=0.5))
-        drained = state.drain()
-        assert {d.entity for _, d in drained} == {"a", "b"}
-        assert state.pending_count() == 0
+        state = EnsembleState(CFG.smooth_window)
+        state.observe(1)
+        state.observe(2)
+        for ts in (1, 2):
+            state.pending.append(Deferral(entity="e", event_ts=ts, deadline=99,
+                                          initial_score=0.5))
+        assert [d.event_ts for d in state.drain()] == [1, 2]
+        assert not state.pending
 
     def test_immediate_deadline(self):
-        state = fresh_state()
-        track = state.observe("e", 1)
-        state.defer(track, Deferral(entity="e", event_ts=1,
-                                    deadline=track.events_seen, initial_score=0.5))
-        assert len(state.due_deferrals(track)) == 1
+        state = EnsembleState(CFG.smooth_window)
+        state.observe(1)
+        state.pending.append(Deferral(entity="e", event_ts=1,
+                                      deadline=state.events_seen,
+                                      initial_score=0.5))
+        assert len(state.due_deferrals()) == 1

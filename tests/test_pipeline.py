@@ -1,4 +1,4 @@
-"""Pipeline orchestration: conservation, determinism, shard equivalence."""
+"""Pipeline orchestration: conservation, determinism, worker-count equivalence."""
 
 import random
 from collections import Counter
@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from zsd.pipeline import run_detection, shard_of
+from zsd.pipeline import run_detection
 from zsd.scorer import forward
 from zsd.scorer import ScorerModel
 from zsd.types import Event, EventKind, Label, Phase, PipelineConfig, validate_config
@@ -150,11 +150,6 @@ def test_worker_count_does_not_change_verdicts():
         verdicts, _ = run_detection(events, model, cfg)
         out[workers] = sorted(v.to_json_line() for v in verdicts)
     assert out[1] == out[4]
-
-
-def test_shard_of_is_stable():
-    assert shard_of("abc", 4) == shard_of("abc", 4)
-    assert 0 <= shard_of("anything", 3) < 3
 
 
 def test_entity_shuffle_isolation():
