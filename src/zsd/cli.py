@@ -169,7 +169,7 @@ def _cmd_detect(args) -> int:
 
     stream = EventStream(source=args.input, strict=args.strict)
     t0 = time.perf_counter()
-    events = [e.strip_truth() for e in read_stream(stream)]
+    events = list(read_stream(stream))
     parse_seconds = time.perf_counter() - t0
 
     feature_sink = None
@@ -254,7 +254,7 @@ def _cmd_bench(args) -> int:
     cfg.workers = args.workers
     scenario = _bench_scenario(args.events, args.seed)
     events, _ = simulator.generate(scenario)
-    events = [e.strip_truth() for e in events[: args.events]]
+    events = events[: args.events]
     # bias the untrained scorer toward benign so deferral traffic stays
     # representative of a trained model
     model = ScorerModel.seeded(32, args.seed)

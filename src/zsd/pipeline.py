@@ -30,7 +30,7 @@ from . import ensemble as ens
 from .clustering import ReferenceSet, assign_raw
 from .ensemble import Decision, Deferral, EnsembleState
 from .features import EntityWindow, extract_values
-from .scorer import ScorerModel, forward
+from .scorer import Prefix, ScorerModel, forward
 from .types import (
     FEATURE_COUNT,
     ClusterAssignment,
@@ -63,7 +63,7 @@ _FLAG = Decision.MALICIOUS
 class _EntityState:
     """Everything the pipeline retains for one entity."""
 
-    __slots__ = ("window", "ref", "recent", "track")
+    __slots__ = ("window", "ref", "recent", "track", "prefix")
 
     def __init__(self, entity: str, cfg: PipelineConfig,
                  exact_counts: bool = False):
@@ -73,6 +73,9 @@ class _EntityState:
         # first, i = window.seq - 1 for the newest) sits in row i % K
         self.recent = np.empty((cfg.seq_len, FEATURE_COUNT), dtype=np.float64)
         self.track = EnsembleState(cfg.smooth_window)
+        # the scorer's state after the rows it has run, while the sequence
+        # only grows; None once the ring wraps
+        self.prefix: Prefix | None = Prefix()
 
     def sequence(self) -> np.ndarray:
         """The entity's last K vectors as a new C-contiguous (T, F) matrix,
@@ -85,6 +88,13 @@ class _EntityState:
             return ring[:seen].copy()
         oldest = seen % k
         return np.concatenate((ring[oldest:], ring[:oldest]))
+
+    def score(self, model: ScorerModel) -> float:
+        """The scorer's output for the entity's sequence. Until the ring
+        wraps, the scorer runs only the rows added since the last score."""
+        if self.prefix is not None and self.window.seq > len(self.recent):
+            self.prefix = None
+        return forward(model, self.sequence(), self.prefix)
 
 
 @dataclass
@@ -160,7 +170,7 @@ class Pipeline:
         deferral: Deferral,
         now_ns: int,
     ) -> Verdict:
-        score = forward(self.model, state.sequence())
+        score = state.score(self.model)
         raw = ens.resolve_deferred(score, self.cfg)
         final, _ = ens.smooth(track.ring, raw, self.cfg)
         track.ring.append(raw)
@@ -222,7 +232,7 @@ class Pipeline:
                 out.append(Verdict(event_ts, entity, _BENIGN, 0.0,
                                    _CLUSTER_INLIER, decided_ts))
             else:
-                score = forward(self.model, state.sequence())
+                score = state.score(self.model)
                 decision = ens.decide_raw(score, cfg)
                 if decision is _DEFER:
                     self._deferred_total += 1
@@ -273,8 +283,6 @@ class Pipeline:
         t_start = time.perf_counter()
         n = 0
         for event in events:
-            if event.truth is not None:
-                event = event.strip_truth()
             n += 1
             process_event(event, n <= grace)
         self.flush()

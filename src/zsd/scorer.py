@@ -6,6 +6,17 @@ score in (0,1):
     h_t   = tanh(Wx x_t + Wh h_{t-1} + bh),  h_0 = 0
     score = sigmoid(wo . h_T + bo)
 
+An entity's sequence only grows until it holds ``seq_len`` vectors: each
+score appends one row to the rows of the last. ``forward`` then takes a
+``Prefix``, the hidden state after the rows it has already run, and runs
+only the rows after them. The resumed score is bit-identical to a fresh
+one because numpy's matrix-matrix product gives each row of
+``xs.dot(Wx.T)`` the same bits whatever the row count, from 2 rows up. A
+product with one row or one column (``hidden`` = 1) takes the
+matrix-vector path instead, which rounds differently, so no state is
+kept from such a product. ``test_scorer.py`` pins this premise of the
+platform's BLAS.
+
 Loss is binary cross-entropy with the score clamped to [1e-7, 1-1e-7].
 Training is plain per-example SGD with global gradient-norm clipping and a
 seeded shuffle per epoch, so a (dataset, config) pair always yields the
@@ -125,15 +136,44 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def forward(model: ScorerModel, seq: Sequence[FeatureVector] | np.ndarray) -> float:
-    """Anomaly score in (0,1) for the sequence; pure and deterministic."""
+class Prefix:
+    """The hidden state ``h`` after the first ``rows`` rows of a sequence
+    that ``forward`` scored with this record; 0 rows hold nothing. Valid
+    only for the same model and for sequences that extend those rows."""
+
+    __slots__ = ("h", "rows")
+
+    def __init__(self) -> None:
+        self.h: np.ndarray | None = None
+        self.rows = 0
+
+
+def forward(model: ScorerModel, seq: Sequence[FeatureVector] | np.ndarray,
+            prefix: Prefix | None = None) -> float:
+    """Anomaly score in (0,1) for the sequence; deterministic.
+
+    With ``prefix``, the recurrence resumes after ``prefix.rows`` rows when
+    ``seq`` holds at least that many, and the record then advances to the
+    whole of ``seq``. The score equals the fresh one bit for bit."""
     xs = _seq_matrix(seq, model.inputs)
-    pre = xs @ model.Wx.T + model.bh
-    h = np.zeros(model.hidden)
-    Wh = model.Wh
-    for t in range(xs.shape[0]):
-        h = np.tanh(pre[t] + Wh @ h)
-    return _sigmoid(float(model.wo @ h) + model.bo)
+    xw = xs.dot(model.Wx.T)
+    T = len(xw)
+    if prefix is not None and 0 < prefix.rows <= T:
+        h = prefix.h
+        pre = xw[prefix.rows:] + model.bh
+    else:
+        pre = xw + model.bh
+        # the first step's Wh @ h_0 adds exact zeros
+        h = np.tanh(pre[0])
+        pre = pre[1:]
+    step = model.Wh.dot
+    tanh = np.tanh
+    for row in pre:
+        h = tanh(row + step(h))
+    if prefix is not None and T > 1 and model.hidden > 1:
+        prefix.h = h
+        prefix.rows = T
+    return _sigmoid(float(model.wo.dot(h)) + model.bo)
 
 
 def loss(score: float, label: int) -> float:
@@ -304,18 +344,26 @@ def load_model(path: str) -> ScorerModel:
     head = lines[0].split()
     if len(head) != 4 or head[0] != MODEL_MAGIC:
         raise ModelFormatError(f"bad header {lines[0]!r}")
-    if int(head[1]) != MODEL_VERSION:
+    try:
+        version, hidden, inputs = (int(v) for v in head[1:])
+    except ValueError:
+        raise ModelFormatError(f"bad header {lines[0]!r}") from None
+    if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported version {head[1]}")
-    hidden, inputs = int(head[2]), int(head[3])
     expected = hidden + hidden + 1 + 1 + 1
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != expected:
         raise ModelFormatError(f"expected {expected} parameter rows, found {len(body)}")
 
     def parse_row(line: str, width: int) -> np.ndarray:
-        vals = np.array([float(v) for v in line.split()], dtype=np.float64)
+        try:
+            vals = np.array([float(v) for v in line.split()], dtype=np.float64)
+        except ValueError as exc:  # float() names the bad token
+            raise ModelFormatError(f"bad parameter: {exc}") from None
         if vals.shape[0] != width:
             raise ModelFormatError(f"row width {vals.shape[0]}, expected {width}")
+        if not np.isfinite(vals).all():
+            raise ModelFormatError(f"non-finite parameter {vals[~np.isfinite(vals)][0]}")
         return vals
 
     idx = 0
@@ -323,5 +371,5 @@ def load_model(path: str) -> ScorerModel:
     Wh = np.stack([parse_row(body[idx + i], hidden) for i in range(hidden)]); idx += hidden
     bh = parse_row(body[idx], hidden); idx += 1
     wo = parse_row(body[idx], hidden); idx += 1
-    bo = float(body[idx])
+    bo = float(parse_row(body[idx], 1)[0])
     return ScorerModel(Wx=Wx, Wh=Wh, bh=bh, wo=wo, bo=bo, hidden=hidden, inputs=inputs)

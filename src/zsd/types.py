@@ -44,8 +44,9 @@ class Truth(str, Enum):
 class Event:
     """One telemetry record (file/process/network action).
 
-    ``truth`` is ground truth attached by the simulator for evaluation; the
-    detection path receives a truth-stripped view and never consults it.
+    ``truth`` is ground truth attached by the simulator for evaluation. The
+    detection path takes events as parsed, labels included, and never reads
+    it; ``strip_truth`` gives a copy without it.
     """
 
     ts: int                      # microseconds since epoch

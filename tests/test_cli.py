@@ -213,6 +213,19 @@ def test_missing_model_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_model_with_a_nan_parameter_exits_2(workdir, simulated, model_path, tmp_path, capsys):
+    events, _ = simulated
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    lines[1] = " ".join(["nan"] + lines[1].split()[1:])
+    bad = tmp_path / "nan.zsd"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "v.jsonl"
+    rc = main(["detect", "--model", str(bad), "--input", str(events), "-o", str(out)])
+    assert rc == 2
+    assert "non-finite parameter nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_2(workdir, simulated, model_path, tmp_path):
     events, _ = simulated
     cfg = tmp_path / "bad.cfg"

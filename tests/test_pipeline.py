@@ -176,18 +176,35 @@ def test_entity_shuffle_isolation():
     assert seqs["m1"] == seqs["m2"]
 
 
+class _TruthTrap(Event):
+    """An event whose ground truth must not be read."""
+
+    __slots__ = ()
+
+    @property
+    def truth(self):
+        raise AssertionError("the detection path read Event.truth")
+
+    @truth.setter
+    def truth(self, value):
+        Event.truth.__set__(self, value)
+
+
 def test_truth_never_influences_detection():
+    # nothing in the cascade reads truth, so labelled events are not copied
+    # without it either: a read of .truth anywhere fails the trapped run
     from zsd.types import Truth
     cfg = validate_config(PipelineConfig())
     base = busy_mixed_stream(500, seed=9)
-    labeled = [Event(ts=e.ts, entity=e.entity, kind=e.kind, path=e.path,
-                     ext_before=e.ext_before, ext_after=e.ext_after,
-                     bytes=e.bytes, entropy=e.entropy, dst=e.dst,
-                     truth=Truth.MALICIOUS) for e in base]
+    fields = [(e.ts, e.entity, e.kind, e.path, e.ext_before, e.ext_after,
+               e.bytes, e.entropy, e.dst) for e in base]
+    labeled = [Event(*f, truth=Truth.MALICIOUS) for f in fields]
+    trapped = [_TruthTrap(*f) for f in fields]
     model = benign_model()
-    v1, _ = run_detection(base, model, cfg)
-    v2, _ = run_detection(labeled, model, cfg)
-    assert [v.to_json_line() for v in v1] == [v.to_json_line() for v in v2]
+    expected = [v.to_json_line() for v in run_detection(base, model, cfg)[0]]
+    for stream in (labeled, trapped):
+        verdicts, _ = run_detection(stream, model, cfg)
+        assert [v.to_json_line() for v in verdicts] == expected
 
 
 def test_warmup_blocks_malicious_verdicts():
@@ -308,3 +325,63 @@ def test_short_lived_entities_hold_little_state():
     assert len(pipe.entities) == 300
     assert all(state.track.pending is None for state in pipe.entities.values())
     assert held / 300 < 24 * 1024
+
+
+def short_lives(entities=40, events=12, seed=7):
+    """Interleaved entities that each live for fewer events than seq_len."""
+    rng = random.Random(seed)
+    left = {f"p{i}": events for i in range(entities)}
+    out = []
+    ts = 0
+    while left:
+        name = rng.choice(sorted(left))
+        left[name] -= 1
+        if not left[name]:
+            del left[name]
+        ts += rng.randrange(1_000, 90_000)
+        kind = rng.choice([EventKind.FILE_WRITE, EventKind.FILE_RENAME, EventKind.NET_SEND])
+        kw = {"ext_before": "a", "ext_after": "b"} if kind is EventKind.FILE_RENAME else {
+            "entropy": rng.uniform(0, 8), "bytes": rng.randrange(100, 100_000)}
+        out.append(Event(ts=ts, entity=name, kind=kind, path=f"/s{rng.randrange(20)}", **kw))
+    return out
+
+
+@pytest.mark.parametrize("reeval", [0, 3])
+def test_deferrals_on_short_sequences_match_fresh_scores(monkeypatch, reeval):
+    # every outlier is scored (min_pts out of reach, no warmup) and a wide
+    # band defers half of them. With reeval 0 the deferral resolves on the
+    # event that scored it, so the scorer sees the same sequence twice
+    import zsd.pipeline as pipeline_mod
+
+    events = short_lives()
+    model = ScorerModel.seeded(8, seed=11, scale=0.6)
+    probe = sorted(forward(model, np.random.default_rng(k).random((k % 12 + 1, 12)))
+                   for k in range(200))
+    cfg = validate_config(PipelineConfig(
+        tau=probe[100], delta=(probe[150] - probe[50]) / 2, reeval_window=reeval,
+        min_pts=50, seq_len=16))
+
+    pipe = Pipeline(model, cfg, warmup_grace=0)
+    resumed, stats = pipe.run(events)
+    assert stats.deferred_events > 20
+    assert all(state.prefix.rows > 1 for state in pipe.entities.values())
+    monkeypatch.setattr(pipeline_mod, "Prefix", lambda: None)
+    fresh, _ = Pipeline(model, cfg, warmup_grace=0).run(events)
+    assert [v.to_json_line() for v in resumed] == [v.to_json_line() for v in fresh]
+
+
+def test_prefix_is_released_when_the_sequence_wraps():
+    cfg = validate_config(PipelineConfig(seq_len=16))
+    model = ScorerModel.seeded(8, seed=12, scale=0.6)
+    pipe = Pipeline(model, cfg)
+    for k, event in enumerate(busy_mixed_stream(300, seed=13), 1):
+        pipe.process_event(event, k <= pipe.warmup_grace)
+        state = pipe.entities[event.entity]
+        score = state.score(model)
+        assert score == forward(model, state.sequence())
+        seen = state.window.seq
+        if seen <= cfg.seq_len:
+            assert state.prefix.rows == (seen if seen > 1 else 0)
+        else:
+            assert state.prefix is None
+    assert all(state.window.seq > cfg.seq_len for state in pipe.entities.values())

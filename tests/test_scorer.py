@@ -8,6 +8,7 @@ import pytest
 from zsd.scorer import (
     DegenerateDataError,
     DimensionError,
+    Prefix,
     ScorerModel,
     TrainConfig,
     forward,
@@ -71,6 +72,61 @@ class TestForward:
             forward(m, np.zeros((3, 7)))
         with pytest.raises(DimensionError):
             forward(m, np.zeros((0, 12)))
+
+
+class TestPrefix:
+    """A resumed score must be the fresh score, bit for bit."""
+
+    @pytest.mark.parametrize("seq_len", [16, 40])
+    @pytest.mark.parametrize("hidden", [1, 8, 32])
+    def test_resumed_scores_equal_fresh_ones(self, hidden, seq_len):
+        rng = np.random.default_rng(hidden * 100 + seq_len)
+        m = ScorerModel.seeded(hidden, seed=hidden, scale=0.5)
+        xs = rng.random((seq_len, 12))
+        prefix = Prefix()
+        for n in range(1, seq_len + 1):
+            fresh = forward(m, xs[:n])
+            # twice at the same n: a deferral that resolves on the event
+            # that scored it rescores the same sequence
+            for _ in range(2):
+                got = forward(m, xs[:n].copy(), prefix)
+                assert got == fresh and repr(got) == repr(fresh), n
+            # one-row and one-column products keep no state
+            assert prefix.rows == (n if n > 1 and hidden > 1 else 0)
+
+    def test_resume_runs_only_the_rows_after_the_prefix(self):
+        m = ScorerModel.seeded(8, seed=4, scale=0.5)
+        xs = np.random.default_rng(4).random((6, 12))
+        prefix = Prefix()
+        forward(m, xs[:5], prefix)
+        prefix.h = np.zeros(8)
+        # nothing left to run: the output layer reads the planted state,
+        # as if wo were zero
+        silent = m.copy()
+        silent.wo[:] = 0.0
+        assert forward(m, xs[:5], prefix) == forward(silent, xs[:5])
+        assert forward(m, xs[:6], prefix) != forward(m, xs[:6])
+
+    def test_prefix_longer_than_the_sequence_is_ignored(self):
+        m = ScorerModel.seeded(8, seed=5, scale=0.5)
+        xs = np.random.default_rng(5).random((9, 12))
+        prefix = Prefix()
+        forward(m, xs, prefix)
+        assert forward(m, xs[:4], prefix) == forward(m, xs[:4])
+        assert prefix.rows == 4
+
+    @pytest.mark.parametrize("hidden", [2, 8, 32])
+    def test_blas_rows_do_not_depend_on_the_row_count(self, hidden):
+        # the premise of the resume: from 2 rows up, numpy's matrix-matrix
+        # product gives a row the same bits in a product of any length. A
+        # platform whose BLAS breaks this fails here, not in a verdict diff
+        rng = np.random.default_rng(hidden)
+        for _ in range(10):
+            Wx = rng.uniform(-1, 1, (hidden, 12))
+            xs = rng.random((128, 12))
+            longest = xs.dot(Wx.T)
+            for a in range(2, 128):
+                assert np.array_equal(xs[:a].dot(Wx.T), longest[:a]), a
 
 
 class TestLoss:
@@ -240,3 +296,17 @@ class TestSerialization:
         bad.write_text("ZSDMODEL 1 4 12\n1 2 3\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(bad)
+        # bad numbers: in the header, or one parameter of a valid file
+        save_model(ScorerModel.seeded(3, seed=1), bad)
+        good = bad.read_text(encoding="utf-8").splitlines()
+        for row, text in [(0, "ZSDMODEL x 3 12"), (0, "ZSDMODEL 1 3 12.0"),
+                          (0, "ZSDMODEL 1 0 12"), (1, "abc"), (1, "nan"),
+                          (4, "inf"), (8, "-inf"), (9, "nan"), (9, "0x1p3")]:
+            lines = list(good)
+            if row == 0:
+                lines[0] = text
+            else:
+                lines[row] = " ".join(lines[row].split()[:-1] + [text])
+            bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(ModelFormatError):
+                load_model(bad)
