@@ -21,13 +21,22 @@ from .ingest import EventStream, ParseError, SchemaError, read_stream
 from .pipeline import run_detection
 from .scorer import (
     DegenerateDataError,
+    DimensionError,
     ModelFormatError,
     ScorerModel,
     TrainConfig,
     load_model,
     save_model,
 )
-from .types import ConfigError, PipelineConfig, Verdict, ZsdError, load_config, validate_config
+from .types import (
+    FEATURE_COUNT,
+    ConfigError,
+    PipelineConfig,
+    Verdict,
+    ZsdError,
+    load_config,
+    validate_config,
+)
 
 if TYPE_CHECKING:
     from . import simulator
@@ -161,6 +170,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_detect(args) -> int:
     model = load_model(args.model)
+    if model.inputs != FEATURE_COUNT:
+        # checked before the input is read: a stream that never reaches the
+        # scorer must not pass with a model that cannot score it
+        raise DimensionError(
+            f"model takes {model.inputs} inputs, the features are {FEATURE_COUNT}")
     cfg = _load_pipeline_config(args.config)
     if args.workers is not None:
         if args.workers < 1:

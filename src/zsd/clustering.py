@@ -9,21 +9,29 @@ overwrites the oldest slot, so ring age and slot order differ.
 A reservoir works in one of two modes:
 
 * Decision-only (the default). Counting stops as soon as min_pts neighbors
-  are confirmed, and no per-point bookkeeping is kept. Two tests settle the
-  decision, cheapest first:
+  are confirmed, and no per-point bookkeeping is kept. Three tests settle
+  the decision, cheapest first:
 
-  1. A triangle-inequality shortcut. The reservoir keeps its newest vector
+  1. A count bound. A reservoir that holds fewer than min_pts points cannot
+     hold min_pts neighbors, so x is an Outlier and no point is examined.
+  2. A triangle-inequality shortcut. The reservoir keeps its newest vector
      (the anchor) and ascending upper bounds on the distances from it to
      min_pts retained points, itself included. If ``|x - anchor| + bound``
      stays below epsilon for all of them, x has min_pts neighbors and is an
      Inlier without a scan (the pruning of incremental DBSCAN, Ester et al.,
      VLDB'98). x then becomes the anchor: its bounds are the old ones plus
-     ``|x - anchor|``, shifted down by one.
-  2. A numpy scan of the ring by age, newest first -- recent behavior is
+     ``|x - anchor|``, shifted down by one. The bounds are used only while
+     every point they cover is still retained.
+  3. A numpy scan of the ring by age, newest first -- recent behavior is
      where an entity's neighbors almost always are -- in probes of
      _FIRST_PROBE points that grow _PROBE_GROWTH-fold. It stops after the
      probe that confirms min_pts neighbors. A scan that confirms density in
-     its first probe leaves fresh bounds for the shortcut.
+     its first probe leaves fresh bounds for the shortcut, at any reservoir
+     size.
+
+  Neighbor counts are therefore lower bounds: an inlier reports at least
+  min_pts, an outlier settled by a scan reports its exact count, and an
+  outlier settled by the count bound reports 0, since nothing was counted.
 
 * Exact (``exact_counts=True``, for --dump-clusters diagnostics). Every
   retained point is scanned by one vectorized numpy pass that counts
@@ -34,9 +42,9 @@ A reservoir works in one of two modes:
   staleness can only inflate the informational core flags and cluster ids.
 
 Both modes make the same Inlier/Outlier partition: each compares the same
-squared distances with epsilon squared, and the shortcut only fires when
-min_pts points are provably inside epsilon with a margin that covers
-rounding.
+squared distances with epsilon squared, the count bound only fires when
+min_pts neighbors are impossible, and the shortcut only fires when min_pts
+points are provably inside epsilon with a margin that covers rounding.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ import numpy as np
 from .types import ClusterAssignment, FeatureVector, FEATURE_COUNT
 
 # newest points examined by the first numpy probe of a decision-only scan,
-# and the growth factor of each further probe. Reservoirs of at most this
-# many points are always scanned whole, so their counts are exact.
+# and the growth factor of each further probe. Most dense neighborhoods are
+# confirmed within the first probe, whose distances then seed the shortcut.
 _FIRST_PROBE = 64
 _PROBE_GROWTH = 8
 # the shortcut needs |x - anchor| + bound < epsilon - _MARGIN. Features lie
@@ -150,11 +158,12 @@ class ReferenceSet:
     entities interleave. Per-point neighbor counts and cluster ids
     (``counts``, ``ids``) exist only with ``exact_counts=True``. The arrays
     start with _FIRST_ROWS rows and double as points arrive; only the ring
-    of a full reservoir has ``capacity`` rows.
+    of a full reservoir has ``capacity`` rows. ``scans`` counts the assigns
+    that ran a numpy scan rather than being settled by a bound.
     """
 
-    __slots__ = ("capacity", "dim", "size", "inserted", "pts", "counts", "ids",
-                 "_next_cluster_id", "exact_counts",
+    __slots__ = ("capacity", "dim", "size", "inserted", "scans", "pts",
+                 "counts", "ids", "_next_cluster_id", "exact_counts",
                  "_anchor", "_bounds", "_bounds_oldest")
 
     def __init__(self, capacity: int, dim: int = FEATURE_COUNT,
@@ -163,6 +172,7 @@ class ReferenceSet:
         self.dim = dim
         self.size = 0
         self.inserted = 0  # vectors ever inserted; the next one's index
+        self.scans = 0
         rows = min(capacity, _FIRST_ROWS)
         self.pts = np.empty((rows, dim), dtype=np.float64)
         # exact_counts forces full scans so reported neighbor counts are the
@@ -185,13 +195,6 @@ class ReferenceSet:
     def retained(self) -> np.ndarray:
         """Currently retained vectors (copy, slot order)."""
         return self.pts[: self.size].copy()
-
-    def core_flags(self, min_pts: int) -> np.ndarray:
-        """Per retained point: has it seen >= min_pts neighbors (slot order).
-        Exact reservoirs only."""
-        if self.counts is None:
-            raise ValueError("core flags need a reservoir with exact_counts=True")
-        return self.counts[: self.size] >= min_pts
 
     def _grow(self) -> None:
         """Double the rows, up to capacity; called when every row is used."""
@@ -256,10 +259,16 @@ def assign_raw(
     ref.inserted = index + 1
 
     if not ref.exact_counts:
+        if n < min_pts:
+            # too few points to hold min_pts neighbors: nothing is counted
+            ref.pts[slot] = vec
+            ref._anchor = vec
+            ref._bounds = None
+            return True, -1, 0
         bounds = ref._bounds
         # every point the bounds cover must still be retained: the retained
         # insertion indices are [index - n, index)
-        if (bounds is not None and n > _FIRST_PROBE and len(bounds) >= min_pts
+        if (bounds is not None and len(bounds) >= min_pts
                 and ref._bounds_oldest >= index - n):
             d = _dist(vec, ref._anchor)
             if d + bounds[min_pts - 1] < epsilon - _MARGIN:
@@ -270,6 +279,7 @@ def assign_raw(
 
     x = np.array(vec, dtype=np.float64)
     thr = epsilon * epsilon
+    ref.scans += 1
     if ref.exact_counts:
         return _assign_exact(x, ref, n, slot, thr, min_pts)
 
@@ -277,7 +287,7 @@ def assign_raw(
     ref.pts[slot] = x
     ref._anchor = vec
     outlier = cnt < min_pts
-    if not outlier and n >= _FIRST_PROBE and scanned == len(first):
+    if not outlier and first is not None and scanned == len(first):
         # the first probe alone holds min_pts neighbors: its min_pts - 1
         # nearest points (the newest points, at or after index - scanned)
         # bound the new anchor's neighborhood
@@ -306,11 +316,12 @@ def assign(
     point about to be evicted still counts: it is retained until x is
     stored.
 
-    The reported neighbor_count is exact for outliers, for reservoirs of at
-    most _FIRST_PROBE points and for reservoirs constructed with
-    exact_counts=True. Otherwise an inlier's count is a lower bound, at
-    least min_pts: counting stops at the probe that confirmed the density
-    threshold.
+    The reported neighbor_count is exact on a reservoir constructed with
+    exact_counts=True. On a decision-only reservoir it is a lower bound:
+    an inlier reports at least min_pts (counting stops once the density
+    threshold is confirmed), an outlier settled by a scan reports its exact
+    count, and an outlier on a reservoir holding fewer than min_pts points
+    reports 0, because no point is examined.
     """
     outlier, cid, cnt = assign_raw(_as_list(x), ref, epsilon, min_pts)
     if outlier:
@@ -357,7 +368,7 @@ def dbscan_batch(
     if isinstance(points, np.ndarray):
         arr = points.astype(np.float64, copy=False)
     else:
-        arr = np.asarray([_as_array(p) for p in points], dtype=np.float64)
+        arr = np.asarray([_as_list(p) for p in points], dtype=np.float64)
     n = arr.shape[0]
     if n == 0:
         return BatchClustering(labels=[])

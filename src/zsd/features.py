@@ -135,13 +135,6 @@ class EntityWindow:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def span_seconds(self) -> float:
-        if not self.events:
-            return 0.001
-        span = (self.events[-1].ts - self.events[0].ts) / 1e6
-        return span if span > 0.001 else 0.001
-
     def append(self, event: Event) -> int:
         """Add one event (evicting the oldest when full); returns its seq id."""
         self.seq += 1

@@ -108,6 +108,8 @@ class RunStats:
     events + reference vectors + pending deferrals at the high-water mark.
     lines_skipped and ts_out_of_order are the input's malformed lines and
     backwards timestamps, filled in by a caller that parsed the input.
+    gate_scans counts the density-gate calls that scanned a reservoir; the
+    other gate calls were settled by a bound without examining any point.
     """
 
     events_in: int = 0
@@ -128,6 +130,7 @@ class RunStats:
     deferred_resolution_ms_max: float = 0.0
     peak_retained_items: int = 0
     entities_seen: int = 0
+    gate_scans: int = 0
     lines_skipped: int = 0
     ts_out_of_order: int = 0
 
@@ -320,6 +323,7 @@ class Pipeline:
             stats.deferred_resolution_ms_max = float(res.max())
         stats.peak_retained_items = self._peak_retained
         stats.entities_seen = len(self.entities)
+        stats.gate_scans = sum(s.ref.scans for s in self.entities.values())
         return stats
 
 

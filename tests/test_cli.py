@@ -7,6 +7,7 @@ import json
 import pytest
 
 from zsd.cli import main
+from zsd.scorer import ScorerModel, save_model
 from zsd.simulator import generate, scenario_from_mapping, write_events
 
 SCENARIO = {
@@ -224,6 +225,34 @@ def test_model_with_a_nan_parameter_exits_2(workdir, simulated, model_path, tmp_
     assert rc == 2
     assert "non-finite parameter nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_model_of_the_wrong_width_exits_2_before_reading_input(
+        workdir, simulated, tmp_path, capsys):
+    # 20 events all fall in the warmup, so nothing would reach the scorer
+    events, _ = simulated
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(events.read_text(encoding="utf-8")
+                             .splitlines(keepends=True)[:20]), encoding="utf-8")
+    narrow = tmp_path / "narrow.zsd"
+    save_model(ScorerModel.seeded(4, 1, inputs=5), str(narrow))
+    out = tmp_path / "v.jsonl"
+    rc = main(["detect", "--model", str(narrow), "--input", str(short), "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "5 inputs" in err and "12" in err
+    assert not out.exists()
+
+
+def test_detect_stats_count_gate_scans(workdir, simulated, model_path, tmp_path):
+    events, _ = simulated
+    stats = tmp_path / "stats.json"
+    rc = main(["detect", "--model", str(model_path), "--input", str(events),
+               "-o", str(tmp_path / "v.jsonl"), "--stats-out", str(stats)])
+    assert rc == 0
+    doc = json.loads(stats.read_text(encoding="utf-8"))
+    gated = doc["events_in"] - doc["phase_counts"].get("fast_path", 0)
+    assert 0 < doc["gate_scans"] <= gated
 
 
 def test_bad_config_exits_2(workdir, simulated, model_path, tmp_path):

@@ -1,7 +1,9 @@
 """Streaming density decisions vs brute force; exact batch DBSCAN."""
 
 import numpy as np
+import pytest
 
+from zsd import clustering
 from zsd.clustering import (
     _FIRST_PROBE,
     ReferenceSet,
@@ -31,14 +33,27 @@ def test_empty_reference_is_outlier():
     assert len(ref) == 1
 
 
+def test_min_pts_zero_makes_every_point_an_inlier():
+    ref = ReferenceSet(4)
+    for _ in range(6):
+        assert not assign(np.zeros(12), ref, EPS, 0).outlier
+
+
 def test_three_copies_with_min_pts_two():
-    ref = ReferenceSet(16)
+    # an exact reservoir counts all three; a decision-only one may stop at
+    # min_pts (the shortcut reports min_pts without counting)
     x = np.full(12, 0.5)
-    for _ in range(3):
-        assign(x.copy(), ref, EPS, 2)
-    a = assign(x.copy(), ref, EPS, 2)
+    exact = ReferenceSet(16, exact_counts=True)
+    fast = ReferenceSet(16)
+    for ref in (exact, fast):
+        for _ in range(3):
+            assign(x.copy(), ref, EPS, 2)
+    a = assign(x.copy(), exact, EPS, 2)
     assert not a.outlier
     assert a.neighbor_count == 3
+    b = assign(x.copy(), fast, EPS, 2)
+    assert not b.outlier
+    assert 2 <= b.neighbor_count <= 3
 
 
 def test_streaming_matches_brute_force_rule():
@@ -91,7 +106,11 @@ def test_fast_and_exact_modes_agree_on_decisions():
         b = assign(p.copy(), exact, EPS, MIN_PTS)
         assert a.outlier == b.outlier
         if a.outlier:
-            assert a.neighbor_count == b.neighbor_count
+            # below min_pts points the count bound decides without counting
+            if i >= MIN_PTS:
+                assert a.neighbor_count == b.neighbor_count
+            else:
+                assert a.neighbor_count <= b.neighbor_count
 
 
 def test_exact_scan_breaks_ties_like_the_kernel():
@@ -232,7 +251,81 @@ def test_decision_only_reservoir_matches_brute_force_across_wraps():
         a = assign(p, ref, EPS, MIN_PTS)
         assert a.outlier == (expected < MIN_PTS)
         if a.outlier:
-            assert a.neighbor_count == expected
+            if len(retained) >= MIN_PTS:
+                assert a.neighbor_count == expected
+            else:
+                assert a.neighbor_count <= expected
         else:
             assert MIN_PTS <= a.neighbor_count <= expected
         retained = (retained + [p])[-100:]
+
+
+def test_reservoir_below_min_pts_decides_without_a_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned a reservoir holding fewer than min_pts points")
+
+    monkeypatch.setattr(clustering, "_scan_newest_first", no_scan)
+    ref = ReferenceSet(16)
+    x = np.full(12, 0.5)
+    for i in range(MIN_PTS):
+        a = assign(x.copy(), ref, EPS, MIN_PTS)
+        assert a.outlier
+        assert a.neighbor_count == 0
+        assert len(ref) == i + 1
+    assert ref.scans == 0
+    with pytest.raises(AssertionError, match="scanned"):
+        assign(x.copy(), ref, EPS, MIN_PTS)
+
+
+def test_small_steady_reservoir_is_settled_by_the_shortcut():
+    # 20 points, far fewer than the first probe: the count bound settles the
+    # first min_pts, one scan confirms density, and the shortcut the rest
+    rng = np.random.default_rng(4)
+    ref = ReferenceSet(20)
+    pts = np.clip(0.4 + 0.001 * rng.standard_normal((20, 12)), 0, 1)
+    for i, p in enumerate(pts):
+        a = assign(p, ref, EPS, MIN_PTS)
+        assert a.outlier == (i < MIN_PTS)
+        assert ref.scans == (i >= MIN_PTS)
+    assert len(ref) == 20
+
+
+def test_shortcut_ignores_bounds_that_cover_an_evicted_point():
+    # capacity 2, min_pts 2: the third point's nearest neighbor is the first
+    # point, which its own insert evicts. Bounds through that point would
+    # call the fourth point an inlier, but only one neighbor is retained
+    c = np.full(12, 0.5)
+    step = np.zeros(12)
+    step[0] = 0.3
+    ref = ReferenceSet(2)
+    for p in (c, c + step, c):
+        assign(p, ref, EPS, 2)
+    a = assign(c - step / 3, ref, EPS, 2)
+    assert a.outlier
+    assert a.neighbor_count == 1
+
+
+def test_shortcut_declines_when_the_triangle_bound_reaches_epsilon():
+    # collinear points make the triangle inequality tight: x is 0.16 from
+    # the anchor on one side, the anchor's other neighbors 0.2 on the other,
+    # so x is 0.36 > EPS from them and has one neighbor, not min_pts
+    c = np.full(12, 0.5)
+    step = np.zeros(12)
+    step[0] = 1.0
+    ref = ReferenceSet(4)
+    for p in (c + 0.2 * step, c + 0.2 * step):
+        assign(p, ref, EPS, 2)
+    assert not assign(c, ref, EPS, 2).outlier
+    a = assign(c - 0.16 * step, ref, EPS, 2)
+    assert a.outlier
+    assert a.neighbor_count == 1
+
+
+def test_dbscan_batch_accepts_lists():
+    rng = np.random.default_rng(7)
+    pts = np.vstack([0.2 + 0.02 * rng.random((12, 12)), rng.random((6, 12))])
+    want = dbscan_batch(pts, EPS, 4).labels
+    assert dbscan_batch(list(pts), EPS, 4).labels == want
+    fvs = [FeatureVector(values=tuple(p), window_id=i, entity="e")
+           for i, p in enumerate(pts)]
+    assert dbscan_batch(fvs, EPS, 4).labels == want

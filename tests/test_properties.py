@@ -1,12 +1,14 @@
-"""Property tests: feature bounds, verdict conservation and order, and
-verdicts that depend neither on the worker count nor on how entities
-interleave."""
+"""Property tests: feature bounds, density decisions against brute force,
+verdict conservation and order, and verdicts that depend neither on the
+worker count nor on how entities interleave."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsd.clustering import ReferenceSet, assign
 from zsd.features import EntityWindow, extract_values
 from zsd.pipeline import run_detection
 from zsd.scorer import ScorerModel
@@ -58,6 +60,47 @@ def test_features_are_finite_and_in_unit_interval(stream, capacity):
         window.append(event)
         for value in extract_values(window):
             assert math.isfinite(value) and 0.0 <= value <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 10), st.integers(1, 240),
+       st.integers(2, 60), st.sampled_from([0.002, 0.02, 0.06, 0.1]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_decision_only_gate_matches_brute_force(capacity, min_pts, length,
+                                                jump_every, spread, on_a_line,
+                                                seed):
+    # clustered traffic that jumps to a new centre every jump_every points,
+    # through a ring that may wrap several times. On a line through the
+    # centre, the shortcut's triangle inequality is tight
+    rng = np.random.default_rng(seed)
+    eps = 0.35
+    ref = ReferenceSet(capacity)
+    retained: list[np.ndarray] = []
+    centre = rng.random(12)
+    direction = np.eye(12)[0]
+    for i in range(length):
+        if i % jump_every == 0:
+            centre = rng.random(12)
+        if on_a_line:
+            p = np.clip(centre + 3 * spread * rng.standard_normal() * direction,
+                        0.0, 1.0)
+        else:
+            p = np.clip(centre + spread * rng.standard_normal(12), 0.0, 1.0)
+        if retained:
+            diff = np.asarray(retained) - p
+            expected = int(np.count_nonzero(
+                np.einsum("ij,ij->i", diff, diff) <= eps * eps))
+        else:
+            expected = 0
+        a = assign(p, ref, eps, min_pts)
+        assert a.outlier == (expected < min_pts)
+        if not a.outlier:
+            assert min_pts <= a.neighbor_count <= expected
+        elif len(retained) >= min_pts:
+            assert a.neighbor_count == expected
+        else:
+            assert a.neighbor_count == 0
+        retained = (retained + [p])[-capacity:]
 
 
 @settings(max_examples=60, deadline=None)
