@@ -101,10 +101,12 @@ def _build_parser() -> _Parser:
     de.add_argument("--config", default=None, help="pipeline config file")
     de.add_argument("--workers", type=int, default=None, help="override config workers")
     de.add_argument("--stats-out", default=None, help="write RunStats JSON here")
-    de.add_argument("--dump-features", action="store_true",
-                    help="emit feature CSV on stdout")
-    de.add_argument("--dump-clusters", action="store_true",
-                    help="emit cluster CSV on stdout")
+    # both dumps write CSV to stdout, so at most one per run
+    dump = de.add_mutually_exclusive_group()
+    dump.add_argument("--dump-features", action="store_true",
+                      help="emit feature CSV on stdout")
+    dump.add_argument("--dump-clusters", action="store_true",
+                      help="emit density-gate CSV on stdout")
     de.add_argument("--strict", action="store_true", help="abort on first bad line")
     de.add_argument("--warmup-grace", type=int, default=None,
                     help="override warmup grace (events; default min_pts*4)")
@@ -188,21 +190,20 @@ def _cmd_detect(args) -> int:
 
     feature_sink = None
     cluster_sink = None
-    out = sys.stdout
+    # entity names come from the input, so they are quoted where needed
+    rows = csv.writer(sys.stdout, lineterminator="\n")
     if args.dump_features:
-        # entity names come from the input, so they are quoted where needed
-        rows = csv.writer(out, lineterminator="\n")
         rows.writerow(["entity", "window_id", *(f"f{i}" for i in range(1, 13))])
 
         def feature_sink(entity, window_id, values):
             rows.writerow([entity, window_id, *(f"{v:.6f}" for v in values)])
 
     if args.dump_clusters:
-        out.write("window_id,assignment,neighbor_count\n")
+        rows.writerow(["entity", "window_id", "assignment", "neighbor_count"])
 
-        def cluster_sink(window_id, assignment):
-            tag = "outlier" if assignment.outlier else f"inlier:{assignment.cluster_id}"
-            out.write(f"{window_id},{tag},{assignment.neighbor_count}\n")
+        def cluster_sink(entity, window_id, outlier, count):
+            rows.writerow([entity, window_id,
+                           "outlier" if outlier else "inlier", count])
 
     verdicts, stats = run_detection(
         events, model, cfg,

@@ -33,18 +33,16 @@ A reservoir works in one of two modes:
   min_pts, an outlier settled by a scan reports its exact count, and an
   outlier settled by the count bound reports 0, since nothing was counted.
 
-* Exact (``exact_counts=True``, for --dump-clusters diagnostics). Every
-  retained point is scanned by one vectorized numpy pass that counts
-  neighbors, finds the nearest core neighbor, applies the arrival-side
-  neighbor-count increments and stores the new vector. Neighbor counts
-  gain increments as new points arrive; losses from FIFO eviction are not
-  propagated (the evicted point's neighbor set is not stored), so this
-  staleness can only inflate the informational core flags and cluster ids.
+* Exact (``exact_counts=True``, for --dump-clusters). The same newest-first
+  scan runs over every retained point, with no bound and no shortcut, so
+  the reported neighbor count is the true one.
 
 Both modes make the same Inlier/Outlier partition: each compares the same
 squared distances with epsilon squared, the count bound only fires when
 min_pts neighbors are impossible, and the shortcut only fires when min_pts
 points are provably inside epsilon with a margin that covers rounding.
+Cluster ids are not tracked: a verdict reads only the Inlier/Outlier flag,
+and ``dbscan_batch`` labels clusters offline.
 """
 
 from __future__ import annotations
@@ -57,34 +55,25 @@ import numpy as np
 
 from .types import ClusterAssignment, FeatureVector, FEATURE_COUNT
 
-# newest points examined by the first numpy probe of a decision-only scan,
-# and the growth factor of each further probe. Most dense neighborhoods are
-# confirmed within the first probe, whose distances then seed the shortcut.
+# newest points examined by the first numpy probe of a scan, and the growth
+# factor of each further probe. Most dense neighborhoods are confirmed
+# within the first probe, whose distances then seed the shortcut.
 _FIRST_PROBE = 64
 _PROBE_GROWTH = 8
 # the shortcut needs |x - anchor| + bound < epsilon - _MARGIN. Features lie
 # in [0, 1], where rounding in a 12-term distance is below 1e-15, so a
 # shortcut inlier is also inside the scan's ``d2 <= epsilon**2`` test.
 _MARGIN = 1e-9
-# cluster id reported for every inlier of a decision-only reservoir, which
-# does not tell clusters apart
-_UNNAMED_CLUSTER = 0
-
 # rows a reservoir starts with; it doubles when full, up to its capacity,
 # so an entity with few vectors holds little memory
 _FIRST_ROWS = 16
 
-# width of the top-slot band that wins ties between equidistant core
-# neighbors in the exact scan. Kept fixed: it decides the cluster ids that
-# --dump-clusters writes
-_TIE_BAND = 256
-
 _dist = math.dist
 
 
-def _scan_newest_first(pts, n, slot, x, thr, min_pts):
+def _scan_newest_first(pts, n, slot, x, thr, need):
     """Count the retained points with squared distance <= thr from x, by ring
-    age, newest first, until min_pts are confirmed.
+    age, newest first, until ``need`` are confirmed.
 
     The newest point is at ``slot - 1`` and ages run down the slots; once the
     ring is full (n == capacity) they continue from the top slot down to
@@ -117,31 +106,10 @@ def _scan_newest_first(pts, n, slot, x, thr, min_pts):
             first = d2
         cnt += int(np.count_nonzero(d2 <= thr))
         scanned = stop
-        if cnt >= min_pts:
+        if cnt >= need:
             break
         width *= _PROBE_GROWTH
     return cnt, scanned, first
-
-
-def _scan_insert_numpy(pts, counts, n, slot, x, thr, min_pts):
-    """Exact scan of all n retained points: count neighbors of x, locate its
-    nearest core neighbor, bump arrival counts, store x at slot. Returns
-    (neighbor_count, core_idx or -1)."""
-    diff = pts[:n] - x
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    mask = d2 <= thr
-    best = -1
-    idx = np.flatnonzero(mask & (counts[:n] >= min_pts))
-    if idx.size:
-        nearest = idx[d2[idx] == d2[idx].min()]
-        # a tie goes to the top _TIE_BAND slots first, then to the lowest slot
-        top = nearest[nearest >= n - _TIE_BAND]
-        best = int(top[0] if top.size else nearest[0])
-    cnt = int(np.count_nonzero(mask))
-    np.add(counts[:n], mask, out=counts[:n], casting="unsafe")
-    pts[slot] = x
-    counts[slot] = cnt
-    return cnt, best
 
 
 def _as_list(x: FeatureVector | np.ndarray | list | tuple) -> list[float]:
@@ -155,32 +123,24 @@ class ReferenceSet:
 
     One instance per entity: an entity's density context is its own recent
     behavior, which keeps every entity's verdicts independent of how other
-    entities interleave. Per-point neighbor counts and cluster ids
-    (``counts``, ``ids``) exist only with ``exact_counts=True``. The arrays
-    start with _FIRST_ROWS rows and double as points arrive; only the ring
-    of a full reservoir has ``capacity`` rows. ``scans`` counts the assigns
-    that ran a numpy scan rather than being settled by a bound.
+    entities interleave. ``exact_counts=True`` makes every assign scan all
+    retained points, so its neighbor counts are exact. The points array
+    starts with _FIRST_ROWS rows and doubles as points arrive; only the
+    ring of a full reservoir has ``capacity`` rows. ``scans`` counts the
+    assigns that ran a numpy scan rather than being settled by a bound.
     """
 
-    __slots__ = ("capacity", "dim", "size", "inserted", "scans", "pts",
-                 "counts", "ids", "_next_cluster_id", "exact_counts",
-                 "_anchor", "_bounds", "_bounds_oldest")
+    __slots__ = ("capacity", "size", "inserted", "scans", "pts",
+                 "exact_counts", "_anchor", "_bounds", "_bounds_oldest")
 
-    def __init__(self, capacity: int, dim: int = FEATURE_COUNT,
-                 exact_counts: bool = False):
+    def __init__(self, capacity: int, exact_counts: bool = False):
         self.capacity = capacity
-        self.dim = dim
         self.size = 0
         self.inserted = 0  # vectors ever inserted; the next one's index
         self.scans = 0
-        rows = min(capacity, _FIRST_ROWS)
-        self.pts = np.empty((rows, dim), dtype=np.float64)
-        # exact_counts forces full scans so reported neighbor counts are the
-        # true cardinality (diagnostics); decisions never need it
+        self.pts = np.empty((min(capacity, _FIRST_ROWS), FEATURE_COUNT),
+                            dtype=np.float64)
         self.exact_counts = exact_counts
-        self.counts = np.zeros(rows, dtype=np.int32) if exact_counts else None
-        self.ids = np.full(rows, -1, dtype=np.int32) if exact_counts else None
-        self._next_cluster_id = 0
         # shortcut state: the newest vector, ascending upper bounds on its
         # distances to distinct retained points (bounds[0] = 0.0 is the
         # anchor itself), and the insertion index that every one of those
@@ -199,39 +159,10 @@ class ReferenceSet:
     def _grow(self) -> None:
         """Double the rows, up to capacity; called when every row is used."""
         n = len(self.pts)
-        rows = min(2 * n, self.capacity)
-        pts = np.empty((rows, self.dim), dtype=np.float64)
+        pts = np.empty((min(2 * n, self.capacity), FEATURE_COUNT),
+                       dtype=np.float64)
         pts[:n] = self.pts
         self.pts = pts
-        if self.exact_counts:
-            counts = np.zeros(rows, dtype=np.int32)
-            counts[:n] = self.counts
-            self.counts = counts
-            ids = np.full(rows, -1, dtype=np.int32)
-            ids[:n] = self.ids
-            self.ids = ids
-
-    def fresh_cluster_id(self) -> int:
-        cid = self._next_cluster_id
-        self._next_cluster_id += 1
-        return cid
-
-
-def _assign_exact(x: np.ndarray, ref: ReferenceSet, n: int, slot: int,
-                  thr: float, min_pts: int) -> tuple[bool, int, int]:
-    cnt, best = _scan_insert_numpy(ref.pts, ref.counts, n, slot, x, thr, min_pts)
-    if cnt >= min_pts:
-        if best >= 0:
-            cid = int(ref.ids[best])
-            if cid < 0:
-                cid = ref.fresh_cluster_id()
-                ref.ids[best] = cid
-        else:
-            cid = ref.fresh_cluster_id()
-        ref.ids[slot] = cid
-        return False, cid, cnt
-    ref.ids[slot] = -1
-    return True, -1, cnt
 
 
 def assign_raw(
@@ -239,12 +170,12 @@ def assign_raw(
     ref: ReferenceSet,
     epsilon: float,
     min_pts: int,
-) -> tuple[bool, int, int]:
-    """Core of assign() without the wrapper objects: returns
-    (outlier, cluster_id or -1, neighbor_count) and inserts vec.
+) -> tuple[bool, int]:
+    """Core of assign() without the wrapper object: returns
+    (outlier, neighbor_count) and inserts vec.
 
-    vec is a list of floats. A decision-only reservoir keeps it as its
-    anchor, so the caller must not change it afterwards.
+    vec is a list of floats. The reservoir keeps it as its anchor, so the
+    caller must not change it afterwards.
     """
     n = ref.size
     index = ref.inserted
@@ -258,13 +189,14 @@ def assign_raw(
         slot = index % capacity
     ref.inserted = index + 1
 
-    if not ref.exact_counts:
+    exact = ref.exact_counts
+    if not exact:
         if n < min_pts:
             # too few points to hold min_pts neighbors: nothing is counted
             ref.pts[slot] = vec
             ref._anchor = vec
             ref._bounds = None
-            return True, -1, 0
+            return True, 0
         bounds = ref._bounds
         # every point the bounds cover must still be retained: the retained
         # insertion indices are [index - n, index)
@@ -275,19 +207,19 @@ def assign_raw(
                 ref.pts[slot] = vec
                 ref._anchor = vec
                 ref._bounds = [0.0] + [d + b for b in bounds[:-1]]
-                return False, _UNNAMED_CLUSTER, min_pts
+                return False, min_pts
 
     x = np.array(vec, dtype=np.float64)
-    thr = epsilon * epsilon
     ref.scans += 1
-    if ref.exact_counts:
-        return _assign_exact(x, ref, n, slot, thr, min_pts)
-
-    cnt, scanned, first = _scan_newest_first(ref.pts, n, slot, x, thr, min_pts)
+    # an exact reservoir asks for more neighbors than it holds, so its scan
+    # counts every retained point
+    cnt, scanned, first = _scan_newest_first(
+        ref.pts, n, slot, x, epsilon * epsilon, n + 1 if exact else min_pts)
     ref.pts[slot] = x
     ref._anchor = vec
     outlier = cnt < min_pts
-    if not outlier and first is not None and scanned == len(first):
+    if (not outlier and not exact and first is not None
+            and scanned == len(first)):
         # the first probe alone holds min_pts neighbors: its min_pts - 1
         # nearest points (the newest points, at or after index - scanned)
         # bound the new anchor's neighborhood
@@ -296,9 +228,7 @@ def assign_raw(
         ref._bounds_oldest = index - scanned
     else:
         ref._bounds = None
-    if outlier:
-        return True, -1, cnt
-    return False, _UNNAMED_CLUSTER, cnt
+    return outlier, cnt
 
 
 def assign(
@@ -309,12 +239,9 @@ def assign(
 ) -> ClusterAssignment:
     """Label x against the reservoir, then insert it (evicting the oldest).
 
-    Inlier when at least min_pts retained points lie within epsilon. On an
-    exact reservoir the cluster id is the nearest core neighbor's (a fresh
-    id when the dense neighborhood has no core point yet); a decision-only
-    reservoir reports every inlier as cluster 0. Outlier otherwise. The
-    point about to be evicted still counts: it is retained until x is
-    stored.
+    Inlier when at least min_pts retained points lie within epsilon,
+    Outlier otherwise. The point about to be evicted still counts: it is
+    retained until x is stored.
 
     The reported neighbor_count is exact on a reservoir constructed with
     exact_counts=True. On a decision-only reservoir it is a lower bound:
@@ -323,10 +250,8 @@ def assign(
     count, and an outlier on a reservoir holding fewer than min_pts points
     reports 0, because no point is examined.
     """
-    outlier, cid, cnt = assign_raw(_as_list(x), ref, epsilon, min_pts)
-    if outlier:
-        return ClusterAssignment.make_outlier(cnt)
-    return ClusterAssignment.inlier(cid, cnt)
+    outlier, cnt = assign_raw(_as_list(x), ref, epsilon, min_pts)
+    return ClusterAssignment(outlier, cnt)
 
 
 @dataclass

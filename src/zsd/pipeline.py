@@ -33,7 +33,6 @@ from .features import EntityWindow, extract_values
 from .scorer import Prefix, ScorerModel, forward
 from .types import (
     FEATURE_COUNT,
-    ClusterAssignment,
     Event,
     Label,
     Phase,
@@ -43,7 +42,7 @@ from .types import (
 )
 
 FeatureSink = Callable[[str, int, Sequence[float]], None]
-ClusterSink = Callable[[int, "object"], None]
+ClusterSink = Callable[[str, int, bool, int], None]
 
 _BY_ENTITY = operator.attrgetter("entity")
 _BY_EVENT_TS = operator.attrgetter("event_ts")
@@ -76,6 +75,15 @@ class _EntityState:
         # the scorer's state after the rows it has run, while the sequence
         # only grows; None once the ring wraps
         self.prefix: Prefix | None = Prefix()
+
+    def push(self, event: Event) -> list[float]:
+        """Append event to the window and its feature vector to the ring;
+        returns the vector."""
+        window = self.window
+        window.append(event)
+        values = extract_values(window)
+        self.recent[(window.seq - 1) % len(self.recent)] = values
+        return values
 
     def sequence(self) -> np.ndarray:
         """The entity's last K vectors as a new C-contiguous (T, F) matrix,
@@ -203,10 +211,7 @@ class Pipeline:
 
         window = state.window
         retained_delta = 1 if len(window.events) < window.capacity else 0
-        window.append(event)
-
-        values = extract_values(window)
-        state.recent[(window.seq - 1) % cfg.seq_len] = values
+        values = state.push(event)
         if self.feature_sink is not None:
             self.feature_sink(entity, window.seq, values)
 
@@ -221,12 +226,9 @@ class Pipeline:
             ref = state.ref
             if ref.size < ref.capacity:
                 retained_delta += 1
-            outlier, cid, cnt = assign_raw(values, ref, cfg.epsilon, cfg.min_pts)
+            outlier, cnt = assign_raw(values, ref, cfg.epsilon, cfg.min_pts)
             if self.cluster_sink is not None:
-                self.cluster_sink(window.seq, (
-                    ClusterAssignment.make_outlier(cnt) if outlier
-                    else ClusterAssignment.inlier(cid, cnt)
-                ))
+                self.cluster_sink(entity, window.seq, outlier, cnt)
 
             if not outlier or in_warmup:
                 # an inlier; or, in warmup, cold-start absorption: outlier

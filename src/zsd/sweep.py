@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, simulator
-from .features import EntityWindow, extract_values
-from .pipeline import RunStats, run_detection
+from .pipeline import RunStats, _EntityState, run_detection
 from .scorer import ScorerModel, TrainConfig, load_model, save_model, train
 from .types import Event, PipelineConfig, Truth, config_from_mapping, validate_config
 
@@ -33,6 +32,10 @@ def build_training_set(
 ) -> list[tuple[np.ndarray, int]]:
     """Per-event sequences labeled by event truth, reservoir-capped per class.
 
+    Windows, features and sequences come from the detection pipeline's own
+    per-entity state (``_EntityState``), so training and detection build
+    them one way.
+
     This is the only place outside evaluation that reads truth labels: the
     scorer is supervised and needs them. Sampling is deterministic for a
     given (stream, seed).
@@ -40,29 +43,23 @@ def build_training_set(
     rng = np.random.default_rng(sample_seed)
     reservoirs: dict[int, list[np.ndarray]] = {0: [], 1: []}
     seen = {0: 0, 1: 0}
-    windows: dict[str, EntityWindow] = {}
-    seqbufs: dict[str, list] = {}
+    states: dict[str, _EntityState] = {}
 
     for event in events:
         label = 1 if event.truth is Truth.MALICIOUS else 0
-        w = windows.get(event.entity)
-        if w is None:
-            w = windows[event.entity] = EntityWindow(event.entity, cfg.window_events)
-            seqbufs[event.entity] = []
-        w.append(event)
-        buf = seqbufs[event.entity]
-        buf.append(extract_values(w))
-        if len(buf) > cfg.seq_len:
-            buf.pop(0)
+        state = states.get(event.entity)
+        if state is None:
+            state = states[event.entity] = _EntityState(event.entity, cfg)
+        state.push(event)
 
         seen[label] += 1
         res = reservoirs[label]
         if len(res) < max_per_class:
-            res.append(np.asarray(buf, dtype=np.float64))
+            res.append(state.sequence())
         else:
             j = int(rng.integers(0, seen[label]))
             if j < max_per_class:
-                res[j] = np.asarray(buf, dtype=np.float64)
+                res[j] = state.sequence()
 
     dataset = [(seq, 0) for seq in reservoirs[0]] + [(seq, 1) for seq in reservoirs[1]]
     return dataset

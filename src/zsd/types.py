@@ -82,27 +82,15 @@ class FeatureVector:
 
 @dataclass(slots=True)
 class ClusterAssignment:
-    """Density decision for one vector: Inlier(cluster_id) or Outlier.
+    """Density decision for one vector: Inlier or Outlier.
 
     ``neighbor_count`` is the number of retained reference points within
-    epsilon, recorded for diagnostics (--dump-clusters).
+    epsilon (a lower bound unless the reservoir counts exactly; see
+    ``zsd.clustering.assign``).
     """
 
     outlier: bool
-    cluster_id: int | None = None
     neighbor_count: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.outlier and (self.cluster_id is None or self.cluster_id < 0):
-            raise ValueError("inlier assignment requires cluster_id >= 0")
-
-    @classmethod
-    def inlier(cls, cluster_id: int, neighbor_count: int = 0) -> "ClusterAssignment":
-        return cls(outlier=False, cluster_id=cluster_id, neighbor_count=neighbor_count)
-
-    @classmethod
-    def make_outlier(cls, neighbor_count: int = 0) -> "ClusterAssignment":
-        return cls(outlier=True, cluster_id=None, neighbor_count=neighbor_count)
 
 
 class Label(str, Enum):

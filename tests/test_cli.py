@@ -127,7 +127,10 @@ def test_detect_dump_features_csv(workdir, simulated, model_path, capsys, tmp_pa
     assert len(first) == 14
 
 
-def test_detect_dump_features_quotes_entity_names(model_path, capsys, tmp_path):
+@pytest.mark.parametrize("flag, width", [("--dump-features", 14),
+                                         ("--dump-clusters", 4)])
+def test_detect_dump_features_quotes_entity_names(model_path, capsys, tmp_path,
+                                                  flag, width):
     entity = 'svc,"x"'
     small = tmp_path / "hostile.jsonl"
     small.write_text("".join(
@@ -135,12 +138,24 @@ def test_detect_dump_features_quotes_entity_names(model_path, capsys, tmp_path):
                     "path": f"/f{i}", "entropy": 7.5, "bytes": 4096}) + "\n"
         for i in range(5)), encoding="utf-8")
     rc = main(["detect", "--model", str(model_path), "--input", str(small),
-               "-o", str(tmp_path / "v.jsonl"), "--dump-features"])
+               "-o", str(tmp_path / "v.jsonl"), flag])
     assert rc == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 6
-    assert all(len(row) == 14 for row in rows)
+    assert all(len(row) == width for row in rows)
     assert [row[0] for row in rows[1:]] == [entity] * 5
+
+
+def test_detect_dumps_are_mutually_exclusive(model_path, capsys, tmp_path):
+    out = tmp_path / "v.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--model", str(model_path), "--input", str(out),
+              "-o", str(out), "--dump-features", "--dump-clusters"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert not out.exists()
 
 
 def test_detect_stats_count_dropped_input(model_path, tmp_path):
@@ -185,12 +200,14 @@ def test_detect_dump_clusters_csv(workdir, simulated, model_path, capsys, tmp_pa
     rc = main(["detect", "--model", str(model_path), "--input", str(small),
                "-o", str(tmp_path / "v.jsonl"), "--dump-clusters"])
     assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "window_id,assignment,neighbor_count"
-    for row in lines[1:5]:
-        wid, tag, count = row.split(",")
-        assert tag == "outlier" or tag.startswith("inlier:")
-        assert int(count) >= 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["entity", "window_id", "assignment", "neighbor_count"]
+    assert len(rows) > 5
+    for entity, wid, tag, count in rows[1:]:
+        assert entity and int(wid) >= 1
+        assert tag in ("inlier", "outlier")
+        # counts are exact, so the tag follows from them (min_pts 8)
+        assert (tag == "outlier") == (int(count) < 8)
 
 
 def test_eval_join_error_exits_2(workdir, simulated, model_path, tmp_path, capsys):

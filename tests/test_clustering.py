@@ -7,7 +7,6 @@ from zsd import clustering
 from zsd.clustering import (
     _FIRST_PROBE,
     ReferenceSet,
-    _scan_insert_numpy,
     _scan_newest_first,
     assign,
     dbscan_batch,
@@ -92,8 +91,8 @@ def test_point_being_evicted_still_counts():
 
 
 def test_fast_and_exact_modes_agree_on_decisions():
-    # cluster ids are informational and may differ between the modes (the
-    # fast mode stops counting at confirmation); the partition may not
+    # inlier neighbor counts may differ between the modes (the fast mode
+    # stops counting at confirmation); the partition may not
     rng = np.random.default_rng(42)
     fast = ReferenceSet(500)
     exact = ReferenceSet(500, exact_counts=True)
@@ -111,19 +110,6 @@ def test_fast_and_exact_modes_agree_on_decisions():
                 assert a.neighbor_count == b.neighbor_count
             else:
                 assert a.neighbor_count <= b.neighbor_count
-
-
-def test_exact_scan_breaks_ties_like_the_kernel():
-    # equidistant core neighbors: the top 256 slots win, and then the
-    # lowest slot; --dump-clusters cluster ids depend on this order
-    x = np.zeros(12)
-    pts = np.full((400, 12), 5.0)
-    pts[[10, 20, 290]] = x
-    counts = np.full(400, 9, np.int32)
-    assert _scan_insert_numpy(pts, counts, 300, 300, x, 0.01, 8) == (3, 290)
-    pts[290] = 5.0
-    counts[:] = 9
-    assert _scan_insert_numpy(pts, counts, 300, 300, x, 0.01, 8) == (2, 10)
 
 
 def test_accepts_feature_vector_objects():

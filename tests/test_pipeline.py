@@ -225,10 +225,10 @@ def test_no_malicious_verdict_for_inlier_assignment():
     hot = ScorerModel.zeros(4)
     hot.bo = 5.0
     events = busy_mixed_stream(1000, seed=11)
-    seen = {}
+    gate = {}
 
-    def cluster_sink(window_id, assignment):
-        seen[window_id] = assignment.outlier
+    def cluster_sink(entity, window_id, outlier, count):
+        gate[entity, window_id] = outlier
 
     verdicts, _ = run_detection(events, hot, cfg, warmup_grace=0,
                                 cluster_sink=cluster_sink)
@@ -236,6 +236,53 @@ def test_no_malicious_verdict_for_inlier_assignment():
     for v in verdicts:
         if v.label is Label.MALICIOUS:
             assert v.phase in (Phase.SCORED, Phase.SMOOTHED, Phase.DEFERRED_RESOLVED)
+    # a sink row's window_id is its entity's n-th event, whose verdict
+    # has that event's (distinct) timestamp
+    by_key = {(v.event_ts, v.entity): v for v in verdicts}
+    nth = Counter()
+    phases = {True: set(), False: set()}
+    for e in events:
+        nth[e.entity] += 1
+        outlier = gate.pop((e.entity, nth[e.entity]), None)
+        if outlier is not None:
+            phases[outlier].add(by_key[e.ts, e.entity].phase)
+    assert not gate
+    assert phases[False] == {Phase.CLUSTER_INLIER}
+    assert phases[True]
+    assert phases[True] <= {Phase.SCORED, Phase.SMOOTHED, Phase.DEFERRED_RESOLVED}
+
+
+def test_cluster_sink_counts_match_brute_force_over_gated_features():
+    # an exact reservoir counts every retained point: each entity's count
+    # equals a brute-force count over its last reference_capacity gated
+    # vectors, read from the feature sink at full precision. The capacity
+    # exceeds the scan's first probe, and each entity's ring wraps
+    cfg = validate_config(PipelineConfig(reference_capacity=100))
+    events = busy_mixed_stream(900, seed=13)
+    features = {}
+    rows = []
+
+    def feature_sink(entity, window_id, values):
+        features[entity, window_id] = list(values)
+
+    def cluster_sink(entity, window_id, outlier, count):
+        rows.append((entity, window_id, outlier, count))
+
+    run_detection(events, benign_model(), cfg, feature_sink=feature_sink,
+                  cluster_sink=cluster_sink)
+    gated = {}
+    wrapped = 0
+    for entity, window_id, outlier, count in rows:
+        x = np.array(features[entity, window_id])
+        earlier = gated.setdefault(entity, [])
+        retained = np.array(earlier[-cfg.reference_capacity:]).reshape(-1, 12)
+        d2 = ((retained - x) ** 2).sum(axis=1)
+        assert count == int(np.count_nonzero(d2 <= cfg.epsilon ** 2))
+        assert outlier == (count < cfg.min_pts)
+        wrapped += len(earlier) > cfg.reference_capacity
+        earlier.append(x)
+    assert len({r[0] for r in rows}) > 1
+    assert wrapped and any(not r[2] for r in rows) and any(r[2] for r in rows)
 
 
 def test_stats_shapes():

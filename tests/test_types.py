@@ -115,14 +115,10 @@ def test_partial_config_uses_defaults():
 
 
 def test_cluster_assignment_invariants():
-    a = ClusterAssignment.inlier(3, neighbor_count=9)
-    assert not a.outlier and a.cluster_id == 3 and a.neighbor_count == 9
-    b = ClusterAssignment.make_outlier(2)
-    assert b.outlier and b.cluster_id is None
-    with pytest.raises(ValueError):
-        ClusterAssignment(outlier=False, cluster_id=-1)
-    with pytest.raises(ValueError):
-        ClusterAssignment(outlier=False, cluster_id=None)
+    a = ClusterAssignment(outlier=False, neighbor_count=9)
+    assert not a.outlier and a.neighbor_count == 9
+    b = ClusterAssignment(outlier=True)
+    assert b.outlier and b.neighbor_count == 0
 
 
 def test_malicious_verdict_requires_scored_phase():
