@@ -7,7 +7,7 @@ to stderr at the level named by ZSD_LOG (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import logging
 import os
@@ -101,12 +101,9 @@ def _build_parser() -> _Parser:
     de.add_argument("--config", default=None, help="pipeline config file")
     de.add_argument("--workers", type=int, default=None, help="override config workers")
     de.add_argument("--stats-out", default=None, help="write RunStats JSON here")
-    # both dumps write CSV to stdout, so at most one per run
-    dump = de.add_mutually_exclusive_group()
-    dump.add_argument("--dump-features", action="store_true",
-                      help="emit feature CSV on stdout")
-    dump.add_argument("--dump-clusters", action="store_true",
-                      help="emit density-gate CSV on stdout")
+    de.add_argument("--trace", default=None, metavar="FILE",
+                    help="write one JSON record per event (features, gate, "
+                         "score, verdict) here")
     de.add_argument("--strict", action="store_true", help="abort on first bad line")
     de.add_argument("--warmup-grace", type=int, default=None,
                     help="override warmup grace (events; default min_pts*4)")
@@ -170,6 +167,20 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _trace_writer(fh):
+    """The pipeline's trace callback as one JSON line per event on fh."""
+    def trace(verdict, window_id, features, gate, initial_score):
+        fh.write(json.dumps({
+            "entity": verdict.entity, "window_id": window_id,
+            "event_ts": verdict.event_ts, "features": features,
+            "gate": None if gate is None else "outlier" if gate[0] else "inlier",
+            "neighbor_count": None if gate is None else gate[1],
+            "score": verdict.score, "initial_score": initial_score,
+            "label": verdict.label.value, "phase": verdict.phase.value,
+        }) + "\n")
+    return trace
+
+
 def _cmd_detect(args) -> int:
     model = load_model(args.model)
     if model.inputs != FEATURE_COUNT:
@@ -188,29 +199,13 @@ def _cmd_detect(args) -> int:
     events = list(read_stream(stream))
     parse_seconds = time.perf_counter() - t0
 
-    feature_sink = None
-    cluster_sink = None
-    # entity names come from the input, so they are quoted where needed
-    rows = csv.writer(sys.stdout, lineterminator="\n")
-    if args.dump_features:
-        rows.writerow(["entity", "window_id", *(f"f{i}" for i in range(1, 13))])
-
-        def feature_sink(entity, window_id, values):
-            rows.writerow([entity, window_id, *(f"{v:.6f}" for v in values)])
-
-    if args.dump_clusters:
-        rows.writerow(["entity", "window_id", "assignment", "neighbor_count"])
-
-        def cluster_sink(entity, window_id, outlier, count):
-            rows.writerow([entity, window_id,
-                           "outlier" if outlier else "inlier", count])
-
-    verdicts, stats = run_detection(
-        events, model, cfg,
-        warmup_grace=args.warmup_grace,
-        feature_sink=feature_sink,
-        cluster_sink=cluster_sink,
-    )
+    with contextlib.ExitStack() as stack:
+        trace = None
+        if args.trace is not None:
+            trace = _trace_writer(
+                stack.enter_context(open(args.trace, "w", encoding="utf-8")))
+        verdicts, stats = run_detection(
+            events, model, cfg, warmup_grace=args.warmup_grace, trace=trace)
     stats.parse_seconds = parse_seconds
     stats.lines_skipped = stream.skipped_count
     stats.ts_out_of_order = stream.monotonicity_warnings

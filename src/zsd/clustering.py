@@ -33,9 +33,10 @@ A reservoir works in one of two modes:
   min_pts, an outlier settled by a scan reports its exact count, and an
   outlier settled by the count bound reports 0, since nothing was counted.
 
-* Exact (``exact_counts=True``, for --dump-clusters). The same newest-first
+* Exact (``exact_counts=True``), the test oracle. The same newest-first
   scan runs over every retained point, with no bound and no shortcut, so
-  the reported neighbor count is the true one.
+  the reported neighbor count is the true one. The pipeline never uses it:
+  a true count can be recomputed offline from the traced features.
 
 Both modes make the same Inlier/Outlier partition: each compares the same
 squared distances with epsilon squared, the count bound only fires when
@@ -80,8 +81,9 @@ def _scan_newest_first(pts, n, slot, x, thr, need):
     ``slot`` itself, the point that the insert will evict and that still
     counts. Returns (count, scanned, first): the neighbors seen, how many of
     the newest points were examined, and the squared distances to the first
-    probe's points (None for an empty reservoir). The count is exact when
-    every point was scanned, which is always so for outliers.
+    probe's points, oldest first (row j has age ``len(first) - 1 - j``;
+    None for an empty reservoir). The count is exact when every point was
+    scanned, which is always so for outliers.
     """
     cnt = 0
     scanned = 0
@@ -99,7 +101,7 @@ def _scan_newest_first(pts, n, slot, x, thr, need):
         elif hi <= 0:
             rows = pts[lo + n:hi + n]
         else:
-            rows = np.concatenate((pts[:hi], pts[lo + n:]))
+            rows = np.concatenate((pts[lo + n:], pts[:hi]))
         diff = rows - x
         d2 = np.einsum("ij,ij->i", diff, diff)
         if first is None:
@@ -124,7 +126,8 @@ class ReferenceSet:
     One instance per entity: an entity's density context is its own recent
     behavior, which keeps every entity's verdicts independent of how other
     entities interleave. ``exact_counts=True`` makes every assign scan all
-    retained points, so its neighbor counts are exact. The points array
+    retained points, so its neighbor counts are exact; it is the oracle that
+    the tests hold the decision-only mode to. The points array
     starts with _FIRST_ROWS rows and doubles as points arrive; only the
     ring of a full reservoir has ``capacity`` rows. ``scans`` counts the
     assigns that ran a numpy scan rather than being settled by a bound.
@@ -221,11 +224,12 @@ def assign_raw(
     if (not outlier and not exact and first is not None
             and scanned == len(first)):
         # the first probe alone holds min_pts neighbors: its min_pts - 1
-        # nearest points (the newest points, at or after index - scanned)
-        # bound the new anchor's neighborhood
-        near = np.sqrt(np.sort(first)[:min_pts - 1]).tolist()
-        ref._bounds = [0.0] + near
-        ref._bounds_oldest = index - scanned
+        # nearest points bound the new anchor's neighborhood. Row j of
+        # first was inserted at index - scanned + j
+        near = np.argsort(first, kind="stable")[:min_pts - 1]
+        ref._bounds = [0.0] + np.sqrt(first[near]).tolist()
+        ref._bounds_oldest = (index - scanned + int(near.min())
+                              if len(near) else index)
     else:
         ref._bounds = None
     return outlier, cnt

@@ -53,7 +53,9 @@ class Deferral:
     event_ts: int
     deadline: int          # entity event count at which resolution is due
     initial_score: float
-    payload: Any = None    # opaque caller context (timing, refs)
+    # caller context, opaque here; the pipeline keeps the event's
+    # (t0, window_id, values, gate) for its timing and trace
+    payload: Any = None
 
 
 class EnsembleState:

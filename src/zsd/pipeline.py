@@ -9,6 +9,12 @@ setting is validated and echoed in the stats; no verdict depends on it.
 Warmup is the first ``warmup_grace`` events of the run: in it the density
 gate's outliers are absorbed as benign, unscored.
 
+Tracing: the optional ``trace`` callback gets ``(verdict, window_id,
+features, gate, initial_score)`` once per event, when its verdict is final
+(a deferred event's at its resolution). ``gate`` is what ``assign_raw``
+returned, None for a prefiltered event; ``initial_score`` is None unless
+the event was deferred.
+
 Latency accounting: per-event latency is measured from dequeue to verdict
 and excludes input parsing; callers that want parse time separated should
 materialize events first (the CLI does). Deferred events report both an
@@ -22,7 +28,7 @@ import operator
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,8 +47,7 @@ from .types import (
     validate_config,
 )
 
-FeatureSink = Callable[[str, int, Sequence[float]], None]
-ClusterSink = Callable[[str, int, bool, int], None]
+Trace = Callable[[Verdict, int, list, tuple | None, float | None], None]
 
 _BY_ENTITY = operator.attrgetter("entity")
 _BY_EVENT_TS = operator.attrgetter("event_ts")
@@ -64,10 +69,9 @@ class _EntityState:
 
     __slots__ = ("window", "ref", "recent", "track", "prefix")
 
-    def __init__(self, entity: str, cfg: PipelineConfig,
-                 exact_counts: bool = False):
+    def __init__(self, entity: str, cfg: PipelineConfig):
         self.window = EntityWindow(entity, cfg.window_events)
-        self.ref = ReferenceSet(cfg.reference_capacity, exact_counts=exact_counts)
+        self.ref = ReferenceSet(cfg.reference_capacity)
         # the last K feature vectors: vector i (counting from the entity's
         # first, i = window.seq - 1 for the newest) sits in row i % K
         self.recent = np.empty((cfg.seq_len, FEATURE_COUNT), dtype=np.float64)
@@ -154,16 +158,14 @@ class Pipeline:
         model: ScorerModel,
         cfg: PipelineConfig,
         warmup_grace: int | None = None,
-        feature_sink: FeatureSink | None = None,
-        cluster_sink: ClusterSink | None = None,
+        trace: Trace | None = None,
     ):
         self.model = model
         self.cfg = validate_config(cfg)
         self.warmup_grace = (
             cfg.min_pts * 4 if warmup_grace is None else warmup_grace
         )
-        self.feature_sink = feature_sink
-        self.cluster_sink = cluster_sink
+        self.trace = trace
         # per-entity state, in order of first arrival
         self.entities: dict[str, _EntityState] = {}
         self.verdicts: list[Verdict] = []  # output of the run in progress
@@ -185,12 +187,15 @@ class Pipeline:
         raw = ens.resolve_deferred(score, self.cfg)
         final, _ = ens.smooth(track.ring, raw, self.cfg)
         track.ring.append(raw)
-        if deferral.payload is not None:
-            self._resolution_ns.append(now_ns - deferral.payload)
-        return Verdict(
+        t0, window_id, values, gate = deferral.payload
+        self._resolution_ns.append(now_ns - t0)
+        verdict = Verdict(
             deferral.event_ts, deferral.entity, final, score,
             _DEFERRED_RESOLVED, track.max_ts,
         )
+        if self.trace is not None:
+            self.trace(verdict, window_id, values, gate, deferral.initial_score)
+        return verdict
 
     def process_event(self, event: Event, in_warmup: bool) -> None:
         """Run the cascade for one event. Its verdict, plus any deferred
@@ -202,9 +207,7 @@ class Pipeline:
         entity = event.entity
         state = self.entities.get(entity)
         if state is None:
-            state = self.entities[entity] = _EntityState(
-                entity, cfg, exact_counts=self.cluster_sink is not None,
-            )
+            state = self.entities[entity] = _EntityState(entity, cfg)
         track = state.track
         event_ts = event.ts
         track.observe(event_ts)
@@ -212,30 +215,27 @@ class Pipeline:
         window = state.window
         retained_delta = 1 if len(window.events) < window.capacity else 0
         values = state.push(event)
-        if self.feature_sink is not None:
-            self.feature_sink(entity, window.seq, values)
 
         out = self.verdicts
         decided_ts = track.max_ts
 
         if ens.phase1_prefilter(values):
+            gate = None
             track.ring.append(_BENIGN)
-            out.append(Verdict(event_ts, entity, _BENIGN, 0.0,
-                               _FAST_PATH, decided_ts))
+            verdict = Verdict(event_ts, entity, _BENIGN, 0.0,
+                              _FAST_PATH, decided_ts)
         else:
             ref = state.ref
             if ref.size < ref.capacity:
                 retained_delta += 1
-            outlier, cnt = assign_raw(values, ref, cfg.epsilon, cfg.min_pts)
-            if self.cluster_sink is not None:
-                self.cluster_sink(entity, window.seq, outlier, cnt)
+            gate = assign_raw(values, ref, cfg.epsilon, cfg.min_pts)
 
-            if not outlier or in_warmup:
+            if not gate[0] or in_warmup:
                 # an inlier; or, in warmup, cold-start absorption: outlier
                 # treated as inlier, unscored
                 track.ring.append(_BENIGN)
-                out.append(Verdict(event_ts, entity, _BENIGN, 0.0,
-                                   _CLUSTER_INLIER, decided_ts))
+                verdict = Verdict(event_ts, entity, _BENIGN, 0.0,
+                                  _CLUSTER_INLIER, decided_ts)
             else:
                 score = state.score(self.model)
                 decision = ens.decide_raw(score, cfg)
@@ -247,15 +247,21 @@ class Pipeline:
                         event_ts=event_ts,
                         deadline=track.events_seen + cfg.reeval_window,
                         initial_score=score,
-                        payload=t0,
+                        payload=(t0, window.seq, values, gate),
                     ))
+                    verdict = None  # final when the deferral resolves
                 else:
                     raw = _MALICIOUS if decision is _FLAG else _BENIGN
                     final, changed = ens.smooth(track.ring, raw, cfg)
                     track.ring.append(raw)
-                    out.append(Verdict(event_ts, entity, final, score,
-                                       _SMOOTHED if changed else _SCORED,
-                                       decided_ts))
+                    verdict = Verdict(event_ts, entity, final, score,
+                                      _SMOOTHED if changed else _SCORED,
+                                      decided_ts)
+
+        if verdict is not None:
+            out.append(verdict)
+            if self.trace is not None:
+                self.trace(verdict, window.seq, values, gate, None)
 
         if track.pending:
             due = track.due_deferrals()
@@ -348,13 +354,9 @@ def run_detection(
     model: ScorerModel,
     cfg: PipelineConfig,
     warmup_grace: int | None = None,
-    feature_sink: FeatureSink | None = None,
-    cluster_sink: ClusterSink | None = None,
+    trace: Trace | None = None,
 ) -> tuple[list[Verdict], RunStats]:
     """Convenience wrapper: build a Pipeline, run it, tally histograms."""
-    pipe = Pipeline(
-        model, cfg, warmup_grace=warmup_grace,
-        feature_sink=feature_sink, cluster_sink=cluster_sink,
-    )
+    pipe = Pipeline(model, cfg, warmup_grace=warmup_grace, trace=trace)
     verdicts, stats = pipe.run(events)
     return verdicts, tally_verdicts(stats, verdicts)

@@ -71,7 +71,8 @@ class ScorerModel:
         )
 
     @classmethod
-    def seeded(cls, hidden: int, seed: int, scale: float = 0.1,
+    def seeded(cls, hidden: int, seed: int | np.random.Generator,
+               scale: float = 0.1,
                inputs: int = FEATURE_COUNT) -> "ScorerModel":
         rng = np.random.default_rng(seed)
         return cls(
@@ -282,15 +283,9 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     if cfg.init_scale > 0:
-        model = ScorerModel(
-            Wx=rng.uniform(-cfg.init_scale, cfg.init_scale, (cfg.hidden, inputs)),
-            Wh=rng.uniform(-cfg.init_scale, cfg.init_scale, (cfg.hidden, cfg.hidden)),
-            bh=rng.uniform(-cfg.init_scale, cfg.init_scale, cfg.hidden),
-            wo=rng.uniform(-cfg.init_scale, cfg.init_scale, cfg.hidden),
-            bo=float(rng.uniform(-cfg.init_scale, cfg.init_scale)),
-            hidden=cfg.hidden,
-            inputs=inputs,
-        )
+        # seeded() draws from rng itself, so the shuffles below continue
+        # its stream
+        model = ScorerModel.seeded(cfg.hidden, rng, cfg.init_scale, inputs)
     else:
         model = ScorerModel.zeros(cfg.hidden, inputs)
 

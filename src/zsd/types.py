@@ -166,9 +166,6 @@ class Verdict:
         )
 
 
-_UINT64_MAX = 2**64 - 1
-
-
 @dataclass(slots=True)
 class PipelineConfig:
     """Detection-pipeline knobs; every bound is enforced by validate_config."""
@@ -184,7 +181,6 @@ class PipelineConfig:
     window_events: int = 256       # feature window size, in events
     reference_capacity: int = 4096 # clustering reservoir size
     workers: int = 1
-    seed: int = 0
 
     def to_file_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
@@ -221,8 +217,6 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         raise bad("reference_capacity", "must be >= min_pts")
     if cfg.workers < 1:
         raise bad("workers", "must be >= 1")
-    if not (0 <= cfg.seed <= _UINT64_MAX):
-        raise bad("seed", "must fit in 64 bits unsigned")
     if not (cfg.tau - cfg.delta > 0.0 and cfg.tau + cfg.delta < 1.0):
         raise bad("delta", "tau +/- delta must stay inside (0,1)")
     return cfg
@@ -230,7 +224,7 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
 
 _INT_FIELDS = {
     "min_pts", "reeval_window", "smooth_m", "smooth_window", "seq_len",
-    "window_events", "reference_capacity", "workers", "seed",
+    "window_events", "reference_capacity", "workers",
 }
 _FLOAT_FIELDS = {"epsilon", "tau", "delta"}
 _ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS

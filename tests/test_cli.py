@@ -1,8 +1,7 @@
 """Command-line surface: exit codes, file outputs, reproducibility."""
 
-import csv
-import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -111,51 +110,54 @@ def test_detect_empty_input(workdir, model_path, tmp_path):
     assert out.read_text(encoding="utf-8") == ""
 
 
-def test_detect_dump_features_csv(workdir, simulated, model_path, capsys, tmp_path):
+def test_detect_trace_records_agree_with_verdicts(workdir, simulated, model_path,
+                                                 tmp_path):
     events, _ = simulated
-    small = tmp_path / "small.jsonl"
-    small.write_text(
-        "\n".join(events.read_text(encoding="utf-8").splitlines()[:50]) + "\n",
-        encoding="utf-8")
-    rc = main(["detect", "--model", str(model_path), "--input", str(small),
-               "-o", str(tmp_path / "v.jsonl"), "--dump-features"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "entity,window_id," + ",".join(f"f{i}" for i in range(1, 13))
-    assert len(lines) == 51
-    first = lines[1].split(",")
-    assert len(first) == 14
+    plain, traced = tmp_path / "plain.jsonl", tmp_path / "traced.jsonl"
+    trace = tmp_path / "trace.jsonl"
+    assert main(["detect", "--model", str(model_path), "--input", str(events),
+                 "-o", str(plain)]) == 0
+    assert main(["detect", "--model", str(model_path), "--input", str(events),
+                 "-o", str(traced), "--trace", str(trace)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+
+    records = [json.loads(line)
+               for line in trace.read_text(encoding="utf-8").splitlines()]
+    verdicts = [json.loads(line)
+                for line in plain.read_text(encoding="utf-8").splitlines()]
+    fields = ("event_ts", "entity", "label", "phase", "score")
+    assert (Counter(tuple(r[k] for k in fields) for r in records)
+            == Counter(tuple(v[k] for k in fields) for v in verdicts))
+    window_ids = {}
+    for r in records:
+        window_ids.setdefault(r["entity"], []).append(r["window_id"])
+        assert len(r["features"]) == 12
+        if r["gate"] is None:
+            assert r["phase"] == "fast_path" and r["neighbor_count"] is None
+        else:
+            assert r["gate"] in ("inlier", "outlier")
+            assert r["neighbor_count"] >= 0
+        assert (r["initial_score"] is None) == (r["phase"] != "deferred_resolved")
+    for ids in window_ids.values():
+        assert sorted(ids) == list(range(1, len(ids) + 1))
+    assert {r["gate"] for r in records} == {None, "inlier", "outlier"}
 
 
-@pytest.mark.parametrize("flag, width", [("--dump-features", 14),
-                                         ("--dump-clusters", 4)])
-def test_detect_dump_features_quotes_entity_names(model_path, capsys, tmp_path,
-                                                  flag, width):
+def test_detect_trace_round_trips_hostile_entity_names(model_path, tmp_path):
     entity = 'svc,"x"'
     small = tmp_path / "hostile.jsonl"
     small.write_text("".join(
         json.dumps({"ts": i + 1, "entity": entity, "kind": "file_write",
                     "path": f"/f{i}", "entropy": 7.5, "bytes": 4096}) + "\n"
         for i in range(5)), encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
     rc = main(["detect", "--model", str(model_path), "--input", str(small),
-               "-o", str(tmp_path / "v.jsonl"), flag])
+               "-o", str(tmp_path / "v.jsonl"), "--trace", str(trace)])
     assert rc == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == 6
-    assert all(len(row) == width for row in rows)
-    assert [row[0] for row in rows[1:]] == [entity] * 5
-
-
-def test_detect_dumps_are_mutually_exclusive(model_path, capsys, tmp_path):
-    out = tmp_path / "v.jsonl"
-    with pytest.raises(SystemExit) as exc:
-        main(["detect", "--model", str(model_path), "--input", str(out),
-              "-o", str(out), "--dump-features", "--dump-clusters"])
-    assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not allowed with argument" in captured.err
-    assert not out.exists()
+    records = [json.loads(line)
+               for line in trace.read_text(encoding="utf-8").splitlines()]
+    assert [(r["entity"], r["window_id"]) for r in records] == [
+        (entity, i) for i in range(1, 6)]
 
 
 def test_detect_stats_count_dropped_input(model_path, tmp_path):
@@ -189,25 +191,6 @@ def test_detect_skips_unhashable_kind_or_exits_2_under_strict(model_path, tmp_pa
                "-o", str(tmp_path / "v.jsonl"), "--strict"])
     assert rc == 2
     assert "unknown kind ['file_read']" in capsys.readouterr().err
-
-
-def test_detect_dump_clusters_csv(workdir, simulated, model_path, capsys, tmp_path):
-    events, _ = simulated
-    small = tmp_path / "small.jsonl"
-    small.write_text(
-        "\n".join(events.read_text(encoding="utf-8").splitlines()[:80]) + "\n",
-        encoding="utf-8")
-    rc = main(["detect", "--model", str(model_path), "--input", str(small),
-               "-o", str(tmp_path / "v.jsonl"), "--dump-clusters"])
-    assert rc == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["entity", "window_id", "assignment", "neighbor_count"]
-    assert len(rows) > 5
-    for entity, wid, tag, count in rows[1:]:
-        assert entity and int(wid) >= 1
-        assert tag in ("inlier", "outlier")
-        # counts are exact, so the tag follows from them (min_pts 8)
-        assert (tag == "outlier") == (int(count) < 8)
 
 
 def test_eval_join_error_exits_2(workdir, simulated, model_path, tmp_path, capsys):

@@ -276,6 +276,24 @@ def test_small_steady_reservoir_is_settled_by_the_shortcut():
     assert len(ref) == 20
 
 
+@pytest.mark.parametrize("capacity", [32, 64])
+def test_wrapped_ring_within_one_probe_is_settled_by_the_shortcut(capacity):
+    # a ring no larger than the first probe is scanned whole, evicted point
+    # included. Bounds through that point would be refused on the next call;
+    # bounds through the min_pts - 1 nearest retained points are not, so
+    # after the wrap most calls skip the scan. Decisions equal exact mode's
+    rng = np.random.default_rng(5)
+    pts = np.clip(0.4 + 0.001 * rng.standard_normal((capacity + 400, 12)), 0, 1)
+    ref = ReferenceSet(capacity)
+    exact = ReferenceSet(capacity, exact_counts=True)
+    for i, p in enumerate(pts):
+        if i == capacity:
+            scans = ref.scans
+        a = assign(p, ref, EPS, MIN_PTS)
+        assert a.outlier == assign(p, exact, EPS, MIN_PTS).outlier
+    assert ref.scans - scans < 400 // 3
+
+
 def test_shortcut_ignores_bounds_that_cover_an_evicted_point():
     # capacity 2, min_pts 2: the third point's nearest neighbor is the first
     # point, which its own insert evicts. Bounds through that point would

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from zsd.features import EntityWindow, extract_values
 from zsd.pipeline import Pipeline, run_detection
 from zsd.scorer import forward
 from zsd.scorer import ScorerModel
@@ -225,64 +226,80 @@ def test_no_malicious_verdict_for_inlier_assignment():
     hot = ScorerModel.zeros(4)
     hot.bo = 5.0
     events = busy_mixed_stream(1000, seed=11)
-    gate = {}
-
-    def cluster_sink(entity, window_id, outlier, count):
-        gate[entity, window_id] = outlier
-
+    records = []
     verdicts, _ = run_detection(events, hot, cfg, warmup_grace=0,
-                                cluster_sink=cluster_sink)
+                                trace=lambda *rec: records.append(rec))
     # malicious verdicts only ever come from scored/deferred paths
     for v in verdicts:
         if v.label is Label.MALICIOUS:
             assert v.phase in (Phase.SCORED, Phase.SMOOTHED, Phase.DEFERRED_RESOLVED)
-    # a sink row's window_id is its entity's n-th event, whose verdict
-    # has that event's (distinct) timestamp
-    by_key = {(v.event_ts, v.entity): v for v in verdicts}
-    nth = Counter()
-    phases = {True: set(), False: set()}
-    for e in events:
-        nth[e.entity] += 1
-        outlier = gate.pop((e.entity, nth[e.entity]), None)
-        if outlier is not None:
-            phases[outlier].add(by_key[e.ts, e.entity].phase)
-    assert not gate
+    # a record carries its event's gate decision and its verdict's phase
+    assert len(records) == len(events)
+    phases = {None: set(), True: set(), False: set()}
+    for verdict, _, _, gate, _ in records:
+        phases[None if gate is None else gate[0]].add(verdict.phase)
+    assert phases[None] == {Phase.FAST_PATH}
     assert phases[False] == {Phase.CLUSTER_INLIER}
     assert phases[True]
     assert phases[True] <= {Phase.SCORED, Phase.SMOOTHED, Phase.DEFERRED_RESOLVED}
 
 
-def test_cluster_sink_counts_match_brute_force_over_gated_features():
-    # an exact reservoir counts every retained point: each entity's count
-    # equals a brute-force count over its last reference_capacity gated
-    # vectors, read from the feature sink at full precision. The capacity
-    # exceeds the scan's first probe, and each entity's ring wraps
+def test_trace_gate_matches_brute_force_over_gated_features():
+    # the traced gate is the decision-only one that made the verdicts: each
+    # decision equals a brute-force decision over the entity's last
+    # reference_capacity gated vectors, read from the trace at full
+    # precision. A count is 0 below min_pts retained points, exact for the
+    # other outliers, and a lower bound for inliers. The capacity exceeds
+    # the scan's first probe, and each entity's ring wraps
     cfg = validate_config(PipelineConfig(reference_capacity=100))
     events = busy_mixed_stream(900, seed=13)
-    features = {}
-    rows = []
-
-    def feature_sink(entity, window_id, values):
-        features[entity, window_id] = list(values)
-
-    def cluster_sink(entity, window_id, outlier, count):
-        rows.append((entity, window_id, outlier, count))
-
-    run_detection(events, benign_model(), cfg, feature_sink=feature_sink,
-                  cluster_sink=cluster_sink)
-    gated = {}
+    records = []
+    run_detection(events, benign_model(), cfg,
+                  trace=lambda *rec: records.append(rec))
+    # records come in the order verdicts became final; the gate saw each
+    # entity's events in window_id order
+    gated = sorted(((v.entity, wid, values, gate)
+                    for v, wid, values, gate, _ in records if gate is not None),
+                   key=lambda r: r[:2])
+    earlier = {}
     wrapped = 0
-    for entity, window_id, outlier, count in rows:
-        x = np.array(features[entity, window_id])
-        earlier = gated.setdefault(entity, [])
-        retained = np.array(earlier[-cfg.reference_capacity:]).reshape(-1, 12)
+    for entity, _, values, (outlier, count) in gated:
+        x = np.array(values)
+        seen = earlier.setdefault(entity, [])
+        retained = np.array(seen[-cfg.reference_capacity:]).reshape(-1, 12)
         d2 = ((retained - x) ** 2).sum(axis=1)
-        assert count == int(np.count_nonzero(d2 <= cfg.epsilon ** 2))
-        assert outlier == (count < cfg.min_pts)
-        wrapped += len(earlier) > cfg.reference_capacity
-        earlier.append(x)
-    assert len({r[0] for r in rows}) > 1
-    assert wrapped and any(not r[2] for r in rows) and any(r[2] for r in rows)
+        expected = int(np.count_nonzero(d2 <= cfg.epsilon ** 2))
+        assert outlier == (expected < cfg.min_pts)
+        if not outlier:
+            assert cfg.min_pts <= count <= expected
+        elif len(retained) >= cfg.min_pts:
+            assert count == expected
+        else:
+            assert count == 0
+        wrapped += len(seen) > cfg.reference_capacity
+        seen.append(x)
+    assert len(earlier) > 1
+    assert wrapped and any(not r[3][0] for r in gated) and any(r[3][0] for r in gated)
+
+
+def test_deferred_record_carries_its_initial_score():
+    # a constant-0.5 scorer defers every scored outlier; each deferred
+    # event's one record comes from its resolution
+    cfg = validate_config(PipelineConfig())
+    events = busy_mixed_stream(600)
+    records = []
+    verdicts, stats = run_detection(events, banded_model(), cfg,
+                                    trace=lambda *rec: records.append(rec))
+    assert sorted(r[0].to_json_line() for r in records) == sorted(
+        v.to_json_line() for v in verdicts)
+    deferred = [r for r in records if r[0].phase is Phase.DEFERRED_RESOLVED]
+    assert len(deferred) == stats.deferred_events > 0
+    for verdict, _, _, gate, initial_score in records:
+        if verdict.phase is Phase.DEFERRED_RESOLVED:
+            assert initial_score == 0.5
+            assert gate[0]
+        else:
+            assert initial_score is None
 
 
 def test_stats_shapes():
@@ -319,26 +336,30 @@ def test_pipeline_prefilter_matches_phase1_rule():
     cfg = validate_config(PipelineConfig())
     events = busy_mixed_stream(400, seed=14) + sparse_benign_stream(200, seed=15)
     events.sort(key=lambda e: e.ts)
-    flags = {}
-
-    def feature_sink(entity, window_id, values):
-        flags[(entity, window_id)] = phase1_prefilter(values)
-
+    records = []
     verdicts, _ = run_detection(events, benign_model(), cfg,
-                                feature_sink=feature_sink)
-    fast = sum(1 for v in verdicts if v.phase is Phase.FAST_PATH)
-    assert fast == sum(1 for q in flags.values() if q)
+                                trace=lambda *rec: records.append(rec))
+    assert len(records) == len(verdicts)
+    fast = [r for r in records if phase1_prefilter(r[2])]
+    assert 0 < len(fast) < len(records)
+    for verdict, _, values, gate, _ in records:
+        assert (verdict.phase is Phase.FAST_PATH) == phase1_prefilter(values)
+        assert (gate is None) == phase1_prefilter(values)
 
 
 def test_entity_sequence_is_its_last_vectors_oldest_first():
     # the ring of recent vectors wraps many times; the scorer gets a new
     # C-contiguous matrix of the last seq_len vectors in arrival order
     cfg = validate_config(PipelineConfig(seq_len=5))
+    windows = {}
     seen = {}
-    pipe = Pipeline(benign_model(), cfg, feature_sink=lambda entity, wid, values:
-                    seen.setdefault(entity, []).append(list(values)))
+    pipe = Pipeline(benign_model(), cfg)
     for k, event in enumerate(busy_mixed_stream(200, seed=4), 1):
         pipe.process_event(event, k <= pipe.warmup_grace)
+        window = windows.setdefault(
+            event.entity, EntityWindow(event.entity, cfg.window_events))
+        window.append(event)
+        seen.setdefault(event.entity, []).append(extract_values(window))
         state = pipe.entities[event.entity]
         seq = state.sequence()
         assert seq.tolist() == seen[event.entity][-5:]
@@ -432,3 +453,22 @@ def test_prefix_is_released_when_the_sequence_wraps():
         else:
             assert state.prefix is None
     assert all(state.window.seq > cfg.seq_len for state in pipe.entities.values())
+
+
+def test_benchmark_patch_points_exist():
+    # perfbench/tracing.py wraps these names to time each layer; a renamed
+    # one would leave its per-layer metrics null, so it fails here instead
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr_path in tracing.TARGETS.values():
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr_path)
