@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -168,16 +169,28 @@ def _cmd_train(args) -> int:
 
 
 def _trace_writer(fh):
-    """The pipeline's trace callback as one JSON line per event on fh."""
+    """The pipeline's trace callback as one JSON line per event on fh.
+
+    Each line is the text ``json.dumps`` gives for the record, with its
+    separators, preformatted as in ``Verdict.to_json_line``: every value is
+    a str (quoted by encode_basestring_ascii), an int, a finite float (whose
+    repr json also writes) or None."""
+    write = fh.write
+
     def trace(verdict, window_id, features, gate, initial_score):
-        fh.write(json.dumps({
-            "entity": verdict.entity, "window_id": window_id,
-            "event_ts": verdict.event_ts, "features": features,
-            "gate": None if gate is None else "outlier" if gate[0] else "inlier",
-            "neighbor_count": None if gate is None else gate[1],
-            "score": verdict.score, "initial_score": initial_score,
-            "label": verdict.label.value, "phase": verdict.phase.value,
-        }) + "\n")
+        if gate is None:
+            gate_text = 'null, "neighbor_count": null'
+        else:
+            gate_text = '"%s", "neighbor_count": %d' % (
+                "outlier" if gate[0] else "inlier", gate[1])
+        write('{"entity": %s, "window_id": %d, "event_ts": %d, "features": [%s], '
+              '"gate": %s, "score": %r, "initial_score": %s, "label": "%s", '
+              '"phase": "%s"}\n' % (
+                  encode_basestring_ascii(verdict.entity), window_id,
+                  verdict.event_ts, ", ".join(map(repr, features)), gate_text,
+                  verdict.score,
+                  "null" if initial_score is None else repr(initial_score),
+                  verdict.label.value, verdict.phase.value))
     return trace
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
 
 from .types import Label, PipelineConfig, ZsdError
 
@@ -47,40 +46,36 @@ def phase1_prefilter(values) -> bool:
 
 @dataclass(slots=True)
 class Deferral:
-    """An ambiguous event waiting for re-evaluation."""
+    """An ambiguous event waiting for re-evaluation, with what its
+    resolution reports: the event's window id, feature vector and gate
+    result, and the score that put it in the band."""
 
-    entity: str
     event_ts: int
     deadline: int          # entity event count at which resolution is due
     initial_score: float
-    # caller context, opaque here; the pipeline keeps the event's
-    # (t0, window_id, values, gate) for its timing and trace
-    payload: Any = None
+    window_id: int
+    values: list[float]
+    gate: tuple[bool, int]
 
 
 class EnsembleState:
     """One entity's refinement record: its recent raw labels (the smoothing
-    ring), its event count and latest timestamp, and its pending deferrals.
+    ring), its decision clock ``max_ts`` (the latest timestamp seen, which
+    the pipeline advances) and its pending deferrals.
 
-    A deferral's deadline is the entity's event count when it was deferred
-    plus the fixed reeval_window, so deadlines ascend in queue order and
-    the due deferrals are always a prefix of ``pending``. ``pending`` is
-    None until the entity's first deferral: most entities never defer.
+    A deferral's deadline is the entity's event count (its window's
+    ``seq``) when it was deferred plus the fixed reeval_window, so
+    deadlines ascend in queue order and the due deferrals are always a
+    prefix of ``pending``. ``pending`` is None until the entity's first
+    deferral: most entities never defer.
     """
 
-    __slots__ = ("ring", "events_seen", "pending", "max_ts")
+    __slots__ = ("ring", "pending", "max_ts")
 
     def __init__(self, smooth_window: int):
         self.ring: deque[Label] = deque(maxlen=smooth_window)
-        self.events_seen = 0
         self.pending: deque[Deferral] | None = None
         self.max_ts = 0
-
-    def observe(self, ts: int) -> None:
-        """Count one event of this entity and advance its decision clock."""
-        self.events_seen += 1
-        if ts > self.max_ts:
-            self.max_ts = ts
 
     def defer(self, deferral: Deferral) -> None:
         """Queue a deferral behind the entity's earlier ones."""
@@ -88,10 +83,10 @@ class EnsembleState:
             self.pending = deque()
         self.pending.append(deferral)
 
-    def due_deferrals(self) -> list[Deferral]:
-        """Pop the deferrals whose deadline has been reached, oldest first."""
+    def due_deferrals(self, seen: int) -> list[Deferral]:
+        """Pop the deferrals whose deadline ``seen``, the entity's event
+        count, has reached, oldest first."""
         pending = self.pending
-        seen = self.events_seen
         due = []
         while pending and pending[0].deadline <= seen:
             due.append(pending.popleft())

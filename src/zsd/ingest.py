@@ -38,6 +38,9 @@ _KNOWN_KEYS = frozenset(
 )
 _KIND_VALUES = {k.value: k for k in EventKind}
 _TRUTH_VALUES = {t.value: t for t in Truth}
+# ts and bytes must fit a signed 64-bit integer: the features convert them
+# (and their differences and sums) to float, which a larger integer overflows
+_INT_LIMIT = 2**63
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -105,6 +108,8 @@ def parse_event_line(line: str, line_no: int = 0, strict: bool = False) -> Event
         raise SchemaError("ts must be an integer")
     if ts < 0:
         raise SchemaError("ts must be >= 0")
+    if ts >= _INT_LIMIT:
+        raise SchemaError("ts must be < 2**63")
 
     if type(entity) is not str or not entity:
         raise SchemaError("entity must be a non-empty string")
@@ -119,15 +124,18 @@ def parse_event_line(line: str, line_no: int = 0, strict: bool = False) -> Event
             raise SchemaError("bytes must be an integer")
         if nbytes < 0:
             raise SchemaError("bytes must be >= 0")
+        if nbytes >= _INT_LIMIT:
+            raise SchemaError("bytes must be < 2**63")
 
     entropy = obj.get("entropy")
     if entropy is not None:
-        if type(entropy) is not float:
-            if type(entropy) is not int:
-                raise SchemaError("entropy must be a number")
-            entropy = float(entropy)
-        if not (0.0 <= entropy <= 8.0):
+        if type(entropy) is not float and type(entropy) is not int:
+            raise SchemaError("entropy must be a number")
+        # checked before float(), which a huge integer overflows
+        if not (0 <= entropy <= 8):
             raise SchemaError("entropy out of [0,8]")
+        if type(entropy) is int:
+            entropy = float(entropy)
 
     ext_before = _opt_str(obj, "ext_before")
     ext_after = _opt_str(obj, "ext_after")

@@ -17,8 +17,10 @@ the event was deferred.
 
 Latency accounting: per-event latency is measured from dequeue to verdict
 and excludes input parsing; callers that want parse time separated should
-materialize events first (the CLI does). Deferred events report both an
-initial-decision latency and a final-resolution latency.
+materialize events first (the CLI does). An event's latency includes the
+resolutions it makes due; those at stream end are in ``process_seconds``
+only. A deferred event's wait is not wall-clock time but stream time: its
+verdict's ``decided_ts - event_ts``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import operator
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -51,6 +54,8 @@ Trace = Callable[[Verdict, int, list, tuple | None, float | None], None]
 
 _BY_ENTITY = operator.attrgetter("entity")
 _BY_EVENT_TS = operator.attrgetter("event_ts")
+_BY_PHASE = operator.attrgetter("phase")
+_BY_LABEL = operator.attrgetter("label")
 
 # enum members as module constants: the per-event path reads them directly
 _BENIGN = Label.BENIGN
@@ -122,6 +127,7 @@ class RunStats:
     backwards timestamps, filled in by a caller that parsed the input.
     gate_scans counts the density-gate calls that scanned a reservoir; the
     other gate calls were settled by a bound without examining any point.
+    deferred_events is the deferred_resolved count of phase_counts.
     """
 
     events_in: int = 0
@@ -138,8 +144,6 @@ class RunStats:
     latency_ms_max: float = 0.0
     latency_ms_mean: float = 0.0
     deferred_events: int = 0
-    deferred_resolution_ms_mean: float = 0.0
-    deferred_resolution_ms_max: float = 0.0
     peak_retained_items: int = 0
     entities_seen: int = 0
     gate_scans: int = 0
@@ -171,30 +175,21 @@ class Pipeline:
         self.verdicts: list[Verdict] = []  # output of the run in progress
         self._retained = 0
         self._peak_retained = 0
-        # wall-clock ns per event, and per deferred event until resolution
-        self._latency_ns = array("q")
-        self._resolution_ns = array("q")
-        self._deferred_total = 0
+        self._latency_ns = array("q")  # wall-clock ns per event
 
-    def _resolve(
-        self,
-        state: _EntityState,
-        track: EnsembleState,
-        deferral: Deferral,
-        now_ns: int,
-    ) -> Verdict:
+    def _resolve(self, state: _EntityState, deferral: Deferral) -> Verdict:
+        track = state.track
         score = state.score(self.model)
         raw = ens.resolve_deferred(score, self.cfg)
         final, _ = ens.smooth(track.ring, raw, self.cfg)
         track.ring.append(raw)
-        t0, window_id, values, gate = deferral.payload
-        self._resolution_ns.append(now_ns - t0)
         verdict = Verdict(
-            deferral.event_ts, deferral.entity, final, score,
+            deferral.event_ts, state.window.entity, final, score,
             _DEFERRED_RESOLVED, track.max_ts,
         )
         if self.trace is not None:
-            self.trace(verdict, window_id, values, gate, deferral.initial_score)
+            self.trace(verdict, deferral.window_id, deferral.values,
+                       deferral.gate, deferral.initial_score)
         return verdict
 
     def process_event(self, event: Event, in_warmup: bool) -> None:
@@ -210,7 +205,8 @@ class Pipeline:
             state = self.entities[entity] = _EntityState(entity, cfg)
         track = state.track
         event_ts = event.ts
-        track.observe(event_ts)
+        if event_ts > track.max_ts:
+            track.max_ts = event_ts
 
         window = state.window
         retained_delta = 1 if len(window.events) < window.capacity else 0
@@ -240,14 +236,10 @@ class Pipeline:
                 score = state.score(self.model)
                 decision = ens.decide_raw(score, cfg)
                 if decision is _DEFER:
-                    self._deferred_total += 1
                     retained_delta += 1
                     track.defer(Deferral(
-                        entity=entity,
-                        event_ts=event_ts,
-                        deadline=track.events_seen + cfg.reeval_window,
-                        initial_score=score,
-                        payload=(t0, window.seq, values, gate),
+                        event_ts, window.seq + cfg.reeval_window, score,
+                        window.seq, values, gate,
                     ))
                     verdict = None  # final when the deferral resolves
                 else:
@@ -264,12 +256,11 @@ class Pipeline:
                 self.trace(verdict, window.seq, values, gate, None)
 
         if track.pending:
-            due = track.due_deferrals()
+            due = track.due_deferrals(window.seq)
             if due:
-                now = perf()
                 retained_delta -= len(due)
                 for deferral in due:
-                    out.append(self._resolve(state, track, deferral, now))
+                    out.append(self._resolve(state, deferral))
 
         retained = self._retained + retained_delta
         self._retained = retained
@@ -279,12 +270,10 @@ class Pipeline:
 
     def flush(self) -> None:
         """Resolve every outstanding deferral (stream end) into ``self.verdicts``."""
-        now = time.perf_counter_ns()
         for state in self.entities.values():
-            track = state.track
-            for deferral in track.drain():
+            for deferral in state.track.drain():
                 self._retained -= 1
-                self.verdicts.append(self._resolve(state, track, deferral, now))
+                self.verdicts.append(self._resolve(state, deferral))
 
     def run(self, events: Iterable[Event]) -> tuple[list[Verdict], RunStats]:
         """Process a whole stream; verdicts come back sorted by
@@ -310,9 +299,10 @@ class Pipeline:
             raise ens.ContractError(
                 f"verdict conservation violated: {len(verdicts)} verdicts for {n} events"
             )
-        return verdicts, self._stats(n, elapsed)
+        return verdicts, self._stats(verdicts, elapsed)
 
-    def _stats(self, n: int, elapsed: float) -> RunStats:
+    def _stats(self, verdicts: list[Verdict], elapsed: float) -> RunStats:
+        n = len(verdicts)
         stats = RunStats(events_in=n, workers=self.cfg.workers)
         stats.verdicts_out = n
         stats.process_seconds = elapsed
@@ -324,29 +314,15 @@ class Pipeline:
             stats.latency_ms_p99 = float(np.percentile(arr, 99))
             stats.latency_ms_max = float(arr[-1])
             stats.latency_ms_mean = float(arr.mean())
-        stats.deferred_events = self._deferred_total
-        if self._resolution_ns:
-            res = np.frombuffer(self._resolution_ns, dtype=np.int64) / 1e6
-            stats.deferred_resolution_ms_mean = float(res.mean())
-            stats.deferred_resolution_ms_max = float(res.max())
+        phases = Counter(map(_BY_PHASE, verdicts))
+        stats.phase_counts = {k.value: c for k, c in sorted(phases.items())}
+        labels = Counter(map(_BY_LABEL, verdicts))
+        stats.label_counts = {k.value: c for k, c in sorted(labels.items())}
+        stats.deferred_events = phases[_DEFERRED_RESOLVED]
         stats.peak_retained_items = self._peak_retained
         stats.entities_seen = len(self.entities)
         stats.gate_scans = sum(s.ref.scans for s in self.entities.values())
         return stats
-
-
-def tally_verdicts(stats: RunStats, verdicts: Iterable[Verdict]) -> RunStats:
-    """Fill phase/label histograms from a finished verdict stream."""
-    phases: dict[Phase, int] = {}
-    labels: dict[Label, int] = {}
-    for v in verdicts:
-        phase = v.phase
-        phases[phase] = phases.get(phase, 0) + 1
-        label = v.label
-        labels[label] = labels.get(label, 0) + 1
-    stats.phase_counts = {k.value: c for k, c in sorted(phases.items())}
-    stats.label_counts = {k.value: c for k, c in sorted(labels.items())}
-    return stats
 
 
 def run_detection(
@@ -356,7 +332,5 @@ def run_detection(
     warmup_grace: int | None = None,
     trace: Trace | None = None,
 ) -> tuple[list[Verdict], RunStats]:
-    """Convenience wrapper: build a Pipeline, run it, tally histograms."""
-    pipe = Pipeline(model, cfg, warmup_grace=warmup_grace, trace=trace)
-    verdicts, stats = pipe.run(events)
-    return verdicts, tally_verdicts(stats, verdicts)
+    """Convenience wrapper: build a Pipeline and run it."""
+    return Pipeline(model, cfg, warmup_grace=warmup_grace, trace=trace).run(events)

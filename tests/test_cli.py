@@ -160,6 +160,37 @@ def test_detect_trace_round_trips_hostile_entity_names(model_path, tmp_path):
         (entity, i) for i in range(1, 6)]
 
 
+@pytest.mark.parametrize("entity", ['svc,"x"', "a\\b", "caf\u00e9-\U0001f600", "t\tab\n\x00\x1f"])
+def test_trace_lines_are_json_dumps_of_the_record(entity):
+    import io
+
+    from zsd.cli import _trace_writer
+    from zsd.types import Label, Phase, Verdict
+
+    fh = io.StringIO()
+    trace = _trace_writer(fh)
+    features = [0.0, 1.0, 0.1 + 0.2, 1e-300, 0.5, 2 / 3, 0.0, 0.25, 1e-7, 0.999, 0.0, 0.3]
+    cases = [
+        (Verdict(7, entity, Label.BENIGN, 0.0, Phase.FAST_PATH, 7), None, None),
+        (Verdict(8, entity, Label.BENIGN, 0.0, Phase.CLUSTER_INLIER, 9), (False, 4), None),
+        (Verdict(9, entity, Label.MALICIOUS, 0.93, Phase.SCORED, 9), (True, 0), None),
+        (Verdict(10, entity, Label.BENIGN, 1 / 3, Phase.DEFERRED_RESOLVED, 2**62),
+         (True, 3), 0.4999999999999999),
+    ]
+    expected = []
+    for verdict, gate, initial_score in cases:
+        trace(verdict, 5, features, gate, initial_score)
+        expected.append(json.dumps({
+            "entity": entity, "window_id": 5, "event_ts": verdict.event_ts,
+            "features": features,
+            "gate": None if gate is None else "outlier" if gate[0] else "inlier",
+            "neighbor_count": None if gate is None else gate[1],
+            "score": verdict.score, "initial_score": initial_score,
+            "label": verdict.label.value, "phase": verdict.phase.value,
+        }) + "\n")
+    assert fh.getvalue().splitlines(keepends=True) == expected
+
+
 def test_detect_stats_count_dropped_input(model_path, tmp_path):
     def line(ts):
         return json.dumps({"ts": ts, "entity": "p", "kind": "file_read",
@@ -191,6 +222,26 @@ def test_detect_skips_unhashable_kind_or_exits_2_under_strict(model_path, tmp_pa
                "-o", str(tmp_path / "v.jsonl"), "--strict"])
     assert rc == 2
     assert "unknown kind ['file_read']" in capsys.readouterr().err
+
+
+def test_detect_skips_numbers_too_large_or_exits_2_under_strict(model_path, tmp_path):
+    huge = 10**400
+    src = tmp_path / "huge.jsonl"
+    src.write_text(
+        '{"ts":1,"entity":"p","kind":"net_send","bytes":10}\n'
+        f'{{"ts":2,"entity":"p","kind":"net_send","bytes":{huge}}}\n'
+        f'{{"ts":{huge},"entity":"p","kind":"file_read"}}\n'
+        f'{{"ts":3,"entity":"p","kind":"file_write","entropy":{huge}}}\n',
+        encoding="utf-8")
+    stats = tmp_path / "stats.json"
+    rc = main(["detect", "--model", str(model_path), "--input", str(src),
+               "-o", str(tmp_path / "v.jsonl"), "--stats-out", str(stats)])
+    assert rc == 0
+    doc = json.loads(stats.read_text(encoding="utf-8"))
+    assert (doc["events_in"], doc["lines_skipped"]) == (1, 3)
+    rc = main(["detect", "--model", str(model_path), "--input", str(src),
+               "-o", str(tmp_path / "v.jsonl"), "--strict"])
+    assert rc == 2
 
 
 def test_eval_join_error_exits_2(workdir, simulated, model_path, tmp_path, capsys):

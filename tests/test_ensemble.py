@@ -95,35 +95,32 @@ class TestSmooth:
         assert final is Label.BENIGN and not changed
 
 
+def deferral(event_ts, deadline):
+    return Deferral(event_ts, deadline, 0.5, event_ts, [0.0] * 12, (True, 0))
+
+
 class TestDeferralQueue:
     def test_due_at_deadline(self):
+        # deferred at the entity's first event with a reeval_window of 2
         state = EnsembleState(CFG.smooth_window)
-        state.observe(10)
-        state.defer(Deferral(entity="e", event_ts=10, deadline=3,
-                             initial_score=0.5))
-        assert state.due_deferrals() == []
-        state.observe(11)
-        assert state.due_deferrals() == []
-        state.observe(12)
-        due = state.due_deferrals()
+        state.defer(deferral(event_ts=10, deadline=3))
+        assert state.due_deferrals(1) == []
+        assert state.due_deferrals(2) == []
+        due = state.due_deferrals(3)
         assert len(due) == 1 and due[0].event_ts == 10
-        assert state.due_deferrals() == []
+        assert state.due_deferrals(4) == []
         assert not state.pending
 
     def test_drain_pops_everything(self):
         state = EnsembleState(CFG.smooth_window)
-        state.observe(1)
-        state.observe(2)
         for ts in (1, 2):
-            state.defer(Deferral(entity="e", event_ts=ts, deadline=99,
-                                 initial_score=0.5))
+            state.defer(deferral(event_ts=ts, deadline=99))
+        assert state.due_deferrals(2) == []
         assert [d.event_ts for d in state.drain()] == [1, 2]
         assert not state.pending
 
     def test_immediate_deadline(self):
+        # a reeval_window of 0: due at the event count that deferred it
         state = EnsembleState(CFG.smooth_window)
-        state.observe(1)
-        state.defer(Deferral(entity="e", event_ts=1,
-                             deadline=state.events_seen,
-                             initial_score=0.5))
-        assert len(state.due_deferrals()) == 1
+        state.defer(deferral(event_ts=1, deadline=1))
+        assert len(state.due_deferrals(1)) == 1

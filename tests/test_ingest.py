@@ -36,6 +36,28 @@ def test_entropy_out_of_range_rejected():
         parse_event_line('{"ts":1,"entity":"p1","kind":"file_write","entropy":9.5}')
 
 
+@pytest.mark.parametrize("field,value,fragment", [
+    ("ts", 2**63, "ts"),
+    ("ts", 10**400, "ts"),
+    ("bytes", 2**63, "bytes"),
+    ("bytes", 10**400, "bytes"),
+    ("entropy", 10**400, "entropy"),
+    ("entropy", -10**400, "entropy"),
+    ("ts", 2**63 - 1, None),
+    ("bytes", 2**63 - 1, None),
+    ("entropy", 8, None),
+])
+def test_numbers_out_of_range_are_schema_errors(field, value, fragment):
+    # a value the features' float arithmetic would overflow is rejected
+    record = {"ts": 1, "entity": "p", "kind": "net_send", field: value}
+    line = json.dumps(record)
+    if fragment is None:
+        assert getattr(parse_event_line(line), field) == value
+    else:
+        with pytest.raises(SchemaError, match=fragment):
+            parse_event_line(line)
+
+
 def test_malformed_json_is_parse_error():
     with pytest.raises(ParseError):
         parse_event_line("{not json", line_no=7)

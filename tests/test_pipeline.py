@@ -153,9 +153,11 @@ def test_worker_count_does_not_change_verdicts():
     assert out[1] == out[4]
 
 
-def test_entity_shuffle_isolation():
+@pytest.mark.parametrize("make_model", [benign_model, banded_model])
+def test_entity_shuffle_isolation(make_model):
     # with warmup disabled, interleaving other entities differently leaves
-    # each entity's verdict sequence unchanged
+    # each entity's verdict sequence unchanged. The banded model defers
+    # every scored outlier, so deadlines must count the entity's own events
     cfg = validate_config(PipelineConfig())
     a = busy_mixed_stream(300, seed=7)
     b = [Event(ts=e.ts + 777, entity="zz_" + e.entity, kind=e.kind, path=e.path,
@@ -165,14 +167,14 @@ def test_entity_shuffle_isolation():
     # a different but per-entity-order-preserving interleave
     merged2 = a + b
 
-    model = benign_model()
+    model = make_model()
     seqs = {}
     for tag, stream in (("m1", merged1), ("m2", merged2)):
         verdicts, _ = run_detection(stream, model, cfg, warmup_grace=0)
         per_entity = {}
         for v in verdicts:
             per_entity.setdefault(v.entity, []).append(
-                (v.event_ts, v.label, v.score, v.phase))
+                (v.event_ts, v.label, v.score, v.phase, v.decided_ts))
         seqs[tag] = per_entity
     assert seqs["m1"] == seqs["m2"]
 
@@ -314,6 +316,21 @@ def test_stats_shapes():
     assert sum(stats.phase_counts.values()) == len(events)
     assert stats.entities_seen == len({e.entity for e in events})
     assert "benign" in stats.label_counts
+
+
+def test_readme_describes_every_stats_key():
+    # one row per key in the README's stats document table, no more
+    import json
+    import re
+    from pathlib import Path
+
+    from zsd.pipeline import RunStats
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Stats document", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(json.loads(RunStats().to_json()))
 
 
 def test_empty_stream():
