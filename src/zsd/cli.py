@@ -72,6 +72,24 @@ def _setup_logging() -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="zsd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -100,14 +118,11 @@ def _build_parser() -> _Parser:
     de.add_argument("--input", required=True, help="events file or - for stdin")
     de.add_argument("-o", "--output", required=True, help="verdicts output (JSON Lines)")
     de.add_argument("--config", default=None, help="pipeline config file")
-    de.add_argument("--workers", type=int, default=None, help="override config workers")
     de.add_argument("--stats-out", default=None, help="write RunStats JSON here")
     de.add_argument("--trace", default=None, metavar="FILE",
                     help="write one JSON record per event (features, gate, "
                          "score, verdict) here")
     de.add_argument("--strict", action="store_true", help="abort on first bad line")
-    de.add_argument("--warmup-grace", type=int, default=None,
-                    help="override warmup grace (events; default min_pts*4)")
 
     ev = sub.add_parser("eval", help="score a verdict stream against ground truth")
     ev.add_argument("--verdicts", required=True)
@@ -115,8 +130,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("-o", "--output", required=True, help="eval report JSON")
 
     be = sub.add_parser("bench", help="measure throughput on a synthetic load")
-    be.add_argument("--events", type=int, required=True)
-    be.add_argument("--workers", type=int, default=1)
+    be.add_argument("--events", type=_positive_int, required=True)
     be.add_argument("--seed", type=int, default=1)
     be.add_argument("--config", default=None)
 
@@ -124,7 +138,7 @@ def _build_parser() -> _Parser:
     sw.add_argument("--suite", required=True,
                     choices=["s1", "s2", "s3", "s4", "s5"])
     sw.add_argument("--out-dir", required=True)
-    sw.add_argument("--seeds", default=None,
+    sw.add_argument("--seeds", type=_seed_list, default=None,
                     help="comma-separated seed list (default: suite.json)")
 
     return p
@@ -152,13 +166,13 @@ def _cmd_train(args) -> int:
     from . import sweep
 
     cfg = _load_pipeline_config(args.config)
-    events = list(read_stream(EventStream(source=args.data, strict=False)))
-    if not events:
-        raise ZsdError("training stream is empty")
     tcfg = TrainConfig(
         lr=args.lr, epochs=args.epochs, clip_norm=args.clip_norm,
         seed=args.train_seed, hidden=args.hidden, init_scale=args.init_scale,
     )
+    events = list(read_stream(EventStream(source=args.data, strict=False)))
+    if not events:
+        raise ZsdError("training stream is empty")
     model, losses = sweep.train_from_events(
         events, cfg, tcfg, max_per_class=args.max_per_class
     )
@@ -202,10 +216,6 @@ def _cmd_detect(args) -> int:
         raise DimensionError(
             f"model takes {model.inputs} inputs, the features are {FEATURE_COUNT}")
     cfg = _load_pipeline_config(args.config)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers: must be >= 1")
-        cfg.workers = args.workers
 
     stream = EventStream(source=args.input, strict=args.strict)
     t0 = time.perf_counter()
@@ -217,8 +227,7 @@ def _cmd_detect(args) -> int:
         if args.trace is not None:
             trace = _trace_writer(
                 stack.enter_context(open(args.trace, "w", encoding="utf-8")))
-        verdicts, stats = run_detection(
-            events, model, cfg, warmup_grace=args.warmup_grace, trace=trace)
+        verdicts, stats = run_detection(events, model, cfg, trace=trace)
     stats.parse_seconds = parse_seconds
     stats.lines_skipped = stream.skipped_count
     stats.ts_out_of_order = stream.monotonicity_warnings
@@ -274,7 +283,6 @@ def _cmd_bench(args) -> int:
     from . import simulator
 
     cfg = _load_pipeline_config(args.config)
-    cfg.workers = args.workers
     scenario = _bench_scenario(args.events, args.seed)
     events, _ = simulator.generate(scenario)
     events = events[: args.events]
@@ -293,10 +301,7 @@ def _cmd_sweep(args) -> int:
 
     out_dir = Path(args.out_dir)
     simulator.make_standard_suites(out_dir)
-    seeds = None
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    result = sweep.run_suite(out_dir / args.suite, seeds=seeds)
+    result = sweep.run_suite(out_dir / args.suite, seeds=args.seeds or None)
     trend = {fam: info.get("trend") for fam, info in result.summary["families"].items()}
     print(f"suite {args.suite}: csv={result.csv_path} trends={json.dumps(trend)}")
     return EXIT_OK

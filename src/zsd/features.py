@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Mapping
 
-from .types import Event, EventKind, FeatureVector, ZsdError
+from .types import Event, EventKind, FeatureVector
 
 # Entropy sums are fixed-point integers at a per-window scale of 2**bits,
 # which is raised whenever a value needs more bits to be represented
 # exactly (at most 1074, which covers every positive double). Every value is
 # then an exact integer, so the sums are exact and order-independent, and a
 # mean is one correctly rounded int/int division of the same rational at
-# any scale.
+# any scale. The scale never falls, so an evicted value is recomputed at the
+# current scale: every rescale shifted its share of the sum by as much.
 _FP_START_BITS = 64
 
 _K_WRITE = EventKind.FILE_WRITE
@@ -45,28 +45,6 @@ _K_CONNECT = EventKind.NET_CONNECT
 _K_SEND = EventKind.NET_SEND
 _K_PRIV = EventKind.PRIV_CHANGE
 _LOG2 = math.log2
-
-
-class EmptyInputError(ZsdError):
-    """Histogram has no observations."""
-
-
-def shannon_entropy(counts: Iterable[int] | Mapping[int, int]) -> float:
-    """Shannon entropy in bits/byte of a 256-value byte histogram.
-
-    Accepts a mapping byte->count or an iterable of counts. Raises
-    EmptyInputError when the histogram sums to zero.
-    """
-    values = counts.values() if isinstance(counts, Mapping) else counts
-    values = [c for c in values if c]
-    total = sum(values)
-    if total <= 0:
-        raise EmptyInputError("entropy of empty histogram")
-    h = 0.0
-    for c in values:
-        p = c / total
-        h -= p * math.log2(p)
-    return min(max(h, 0.0), 8.0)
 
 
 class _PathTrack:
@@ -94,7 +72,7 @@ class EntityWindow:
         "entity", "capacity", "events", "seq",
         "n_writes", "n_reads", "n_renames", "n_renames_ext", "n_deletes",
         "n_connects", "n_priv",
-        "went_sum", "went_count", "rent_sum", "rent_count", "fp_bits", "_fps",
+        "went_sum", "went_count", "rent_sum", "rent_count", "fp_bits",
         "send_bytes", "gap_sum", "gap_sumsq", "n_gaps",
         "paths", "written_paths", "read_then_written",
         "_went_mean", "_rent_mean",
@@ -117,10 +95,6 @@ class EntityWindow:
         self.rent_sum = 0
         self.rent_count = 0
         self.fp_bits = _FP_START_BITS
-        # fixed-point entropy of each entropy-carrying read/write in the
-        # window, oldest first, so eviction subtracts without recomputing;
-        # created by the first such event
-        self._fps: deque[int] | None = None
         self.send_bytes = 0
         self.gap_sum = 0
         self.gap_sumsq = 0
@@ -156,27 +130,23 @@ class EntityWindow:
         self._add(event)
         return self.seq
 
-    def _keep_fixed(self, x: float) -> int:
+    def _fixed_raising_scale(self, x: float) -> int:
         """x * 2**fp_bits as an exact integer, raising the scale if x needs
-        it; the value is kept in ``_fps`` for its eviction. A rescale shifts
-        the sums too, so add the result to a sum after the call."""
+        it. A rescale shifts the sums too, so add the result to a sum after
+        the call."""
         p, q = x.as_integer_ratio()
         shift = self.fp_bits - (q.bit_length() - 1)
-        fps = self._fps
         if shift < 0:
-            extra = -shift
-            self.fp_bits += extra
-            self.went_sum <<= extra
-            self.rent_sum <<= extra
-            if fps is not None:
-                fps = self._fps = deque(v << extra for v in fps)
+            self.fp_bits -= shift
+            self.went_sum <<= -shift
+            self.rent_sum <<= -shift
             shift = 0
-        fp = p << shift
-        if fps is None:
-            self._fps = deque((fp,))
-        else:
-            fps.append(fp)
-        return fp
+        return p << shift
+
+    def _fixed(self, x: float) -> int:
+        """x * 2**fp_bits for an x in the window, whose scale covers it."""
+        p, q = x.as_integer_ratio()
+        return p << (self.fp_bits - (q.bit_length() - 1))
 
     def _add(self, event: Event) -> None:
         kind = event.kind
@@ -184,7 +154,7 @@ class EntityWindow:
             self.n_reads += 1
             entropy = event.entropy
             if entropy is not None:
-                fp = self._keep_fixed(entropy)
+                fp = self._fixed_raising_scale(entropy)
                 self.rent_sum += fp
                 self.rent_count += 1
                 self._rent_mean = None
@@ -192,7 +162,7 @@ class EntityWindow:
             self.n_writes += 1
             entropy = event.entropy
             if entropy is not None:
-                fp = self._keep_fixed(entropy)
+                fp = self._fixed_raising_scale(entropy)
                 self.went_sum += fp
                 self.went_count += 1
                 self._went_mean = None
@@ -235,13 +205,13 @@ class EntityWindow:
         if kind is _K_READ:
             self.n_reads -= 1
             if event.entropy is not None:
-                self.rent_sum -= self._fps.popleft()
+                self.rent_sum -= self._fixed(event.entropy)
                 self.rent_count -= 1
                 self._rent_mean = None
         elif kind is _K_WRITE:
             self.n_writes -= 1
             if event.entropy is not None:
-                self.went_sum -= self._fps.popleft()
+                self.went_sum -= self._fixed(event.entropy)
                 self.went_count -= 1
                 self._went_mean = None
         elif kind is _K_RENAME:

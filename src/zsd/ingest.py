@@ -206,8 +206,3 @@ def read_stream(stream: EventStream) -> Iterator[Event]:
     finally:
         if stream.source != STDIN_MARKER:
             fh.close()
-
-
-def read_events(path: str, strict: bool = False) -> list[Event]:
-    """Eagerly read every event from a file (convenience for tests/tools)."""
-    return list(read_stream(EventStream(source=path, strict=strict)))

@@ -3,11 +3,13 @@
 All per-event state (window, reference set, sequence, smoothing ring,
 deferrals) belongs to one entity, held in a single entity table, and the
 output is sorted by (event_ts, entity). So a run is deterministic, and how
-entities interleave cannot change any entity's verdicts. The ``workers``
-setting is validated and echoed in the stats; no verdict depends on it.
+entities interleave cannot change any entity's verdicts.
 
 Warmup is the first ``warmup_grace`` events of the run: in it the density
-gate's outliers are absorbed as benign, unscored.
+gate's outliers are absorbed as benign, unscored. Warmup counts the run's
+events, not an entity's, so only with ``warmup_grace=0`` do runs over
+disjoint entity shards, merged by (event_ts, entity), give the verdicts of
+one run over the whole stream.
 
 Tracing: the optional ``trace`` callback gets ``(verdict, window_id,
 features, gate, initial_score)`` once per event, when its verdict is final
@@ -132,7 +134,6 @@ class RunStats:
 
     events_in: int = 0
     verdicts_out: int = 0
-    workers: int = 1
     phase_counts: dict[str, int] = field(default_factory=dict)
     label_counts: dict[str, int] = field(default_factory=dict)
     process_seconds: float = 0.0
@@ -303,8 +304,7 @@ class Pipeline:
 
     def _stats(self, verdicts: list[Verdict], elapsed: float) -> RunStats:
         n = len(verdicts)
-        stats = RunStats(events_in=n, workers=self.cfg.workers)
-        stats.verdicts_out = n
+        stats = RunStats(events_in=n, verdicts_out=n)
         stats.process_seconds = elapsed
         stats.throughput_eps = n / elapsed if elapsed > 0 else 0.0
         if self._latency_ns:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import FeatureVector, FEATURE_COUNT, ZsdError
+from .types import ConfigError, FeatureVector, FEATURE_COUNT, ZsdError
 
 SCORE_CLAMP = 1e-7
 MODEL_MAGIC = "ZSDMODEL"
@@ -102,14 +102,14 @@ class TrainConfig:
     init_scale: float = 0.1   # 0 gives an all-zero initialization
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not (self.lr > 0):
+            raise ConfigError("lr: must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+            raise ConfigError("epochs: must be >= 1")
+        if not (self.clip_norm > 0):
+            raise ConfigError("clip_norm: must be > 0")
         if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+            raise ConfigError("hidden: must be >= 1")
 
 
 def _seq_matrix(seq: Sequence[FeatureVector] | np.ndarray, inputs: int) -> np.ndarray:

@@ -7,7 +7,7 @@ so they can be passed freely between pipeline stages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
@@ -180,11 +180,6 @@ class PipelineConfig:
     seq_len: int = 16              # scorer sequence length
     window_events: int = 256       # feature window size, in events
     reference_capacity: int = 4096 # clustering reservoir size
-    workers: int = 1
-
-    def to_file_text(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
 
 
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
@@ -215,8 +210,6 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         raise bad("window_events", "must be >= 1")
     if cfg.reference_capacity < cfg.min_pts:
         raise bad("reference_capacity", "must be >= min_pts")
-    if cfg.workers < 1:
-        raise bad("workers", "must be >= 1")
     if not (cfg.tau - cfg.delta > 0.0 and cfg.tau + cfg.delta < 1.0):
         raise bad("delta", "tau +/- delta must stay inside (0,1)")
     return cfg
@@ -224,7 +217,7 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
 
 _INT_FIELDS = {
     "min_pts", "reeval_window", "smooth_m", "smooth_window", "seq_len",
-    "window_events", "reference_capacity", "workers",
+    "window_events", "reference_capacity",
 }
 _FLOAT_FIELDS = {"epsilon", "tau", "delta"}
 _ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS

@@ -335,12 +335,41 @@ def test_train_degenerate_data_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--epochs", "0"), ("--hidden", "0"), ("--lr", "0"), ("--lr", "nan"),
+    ("--clip-norm", "0"),
+])
+def test_train_setting_out_of_range_exits_2(simulated, tmp_path, capsys, flag, value):
+    events, _ = simulated
+    out = tmp_path / "m.zsd"
+    rc = main(["train", "--data", str(events), "-o", str(out), flag, value])
+    assert rc == 2
+    assert f"zsd train: {flag[2:].replace('-', '_')}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_prints_stats(capsys):
-    rc = main(["bench", "--events", "3000", "--workers", "1"])
+    rc = main(["bench", "--events", "3000"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["events_in"] == 3000
     assert doc["throughput_eps"] > 0
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_bench_event_count_below_one_is_a_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--events", count])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_bad_seed_list_is_a_usage_error_that_writes_nothing(tmp_path):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--suite", "s5", "--out-dir", str(out_dir), "--seeds", "a,b"])
+    assert exc.value.code == 1
+    assert not out_dir.exists()
 
 
 def test_detect_strict_mode_aborts_on_bad_line(workdir, simulated, model_path, tmp_path):
@@ -356,15 +385,21 @@ def test_detect_strict_mode_aborts_on_bad_line(workdir, simulated, model_path, t
                  "-o", str(out), "--strict"]) == 2
 
 
-def test_detect_workers_flag(workdir, simulated, model_path, tmp_path):
+def test_detect_has_no_workers_or_warmup_setting(workdir, simulated, model_path,
+                                                 tmp_path, capsys):
     events, _ = simulated
-    v1 = tmp_path / "w1.jsonl"
-    v4 = tmp_path / "w4.jsonl"
-    assert main(["detect", "--model", str(model_path), "--input", str(events),
-                 "-o", str(v1)]) == 0
-    assert main(["detect", "--model", str(model_path), "--input", str(events),
-                 "-o", str(v4), "--workers", "4"]) == 0
-    assert sorted(v1.read_text().splitlines()) == sorted(v4.read_text().splitlines())
+    out = tmp_path / "v.jsonl"
+    detect = ["detect", "--model", str(model_path), "--input", str(events),
+              "-o", str(out)]
+    for extra in (["--workers", "4"], ["--warmup-grace", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(detect + extra)
+        assert exc.value.code == 1
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers=4\n", encoding="utf-8")
+    assert main(detect + ["--config", str(cfg)]) == 2
+    assert "unknown config key: workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_reads_stdin(workdir, simulated, model_path, tmp_path):

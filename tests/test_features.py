@@ -6,29 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from zsd.features import EmptyInputError, EntityWindow, extract, extract_values, shannon_entropy
+from zsd.features import EntityWindow, extract, extract_values
 from zsd.types import Event, EventKind
 
 
 def ev(ts, kind, entity="e", **kw):
     return Event(ts=ts, entity=entity, kind=kind, **kw)
-
-
-class TestShannonEntropy:
-    def test_single_symbol_is_zero(self):
-        assert shannon_entropy({0x41: 100}) == 0.0
-
-    def test_uniform_histogram_is_eight(self):
-        assert shannon_entropy([1] * 256) == 8.0
-
-    def test_two_equiprobable_symbols(self):
-        assert shannon_entropy({0x61: 2, 0x62: 2}) == 1.0
-
-    def test_empty_histogram_raises(self):
-        with pytest.raises(EmptyInputError):
-            shannon_entropy({})
-        with pytest.raises(EmptyInputError):
-            shannon_entropy([0] * 256)
 
 
 class TestExtract:

@@ -222,10 +222,14 @@ def _reference_parse(line, line_no=0, strict=False):
         raise SchemaError("ts must be an integer")
     if ts < 0:
         raise SchemaError("ts must be >= 0")
+    if ts >= 2**63:
+        raise SchemaError("ts must be < 2**63")
     entity = obj["entity"]
     if not isinstance(entity, str) or not entity:
         raise SchemaError("entity must be a non-empty string")
-    kind = {k.value: k for k in EventKind}.get(obj["kind"])
+    kind = None
+    if isinstance(obj["kind"], str):
+        kind = {k.value: k for k in EventKind}.get(obj["kind"])
     if kind is None:
         raise SchemaError(f"unknown kind {obj['kind']!r}")
     nbytes = obj.get("bytes")
@@ -234,13 +238,16 @@ def _reference_parse(line, line_no=0, strict=False):
             raise SchemaError("bytes must be an integer")
         if nbytes < 0:
             raise SchemaError("bytes must be >= 0")
+        if nbytes >= 2**63:
+            raise SchemaError("bytes must be < 2**63")
     entropy = obj.get("entropy")
     if entropy is not None:
         if isinstance(entropy, bool) or not isinstance(entropy, (int, float)):
             raise SchemaError("entropy must be a number")
-        entropy = float(entropy)
-        if not (0.0 <= entropy <= 8.0):
+        # compared before float(), which a huge integer overflows
+        if not (0 <= entropy <= 8):
             raise SchemaError("entropy out of [0,8]")
+        entropy = float(entropy)
     ext_before = opt_str("ext_before")
     ext_after = opt_str("ext_after")
     if kind is EventKind.FILE_RENAME:
@@ -250,7 +257,8 @@ def _reference_parse(line, line_no=0, strict=False):
         raise SchemaError("ext_before/ext_after only valid on file_rename")
     truth = None
     if obj.get("truth") is not None:
-        truth = {t.value: t for t in Truth}.get(obj["truth"])
+        if isinstance(obj["truth"], str):
+            truth = {t.value: t for t in Truth}.get(obj["truth"])
         if truth is None:
             raise SchemaError(f"unknown truth {obj['truth']!r}")
     return Event(ts=ts, entity=entity, kind=kind, path=opt_str("path"),
@@ -313,6 +321,15 @@ _READ = '{"ts":1,"entity":"p","kind":"file_read"'
     '"truth":"malicious","bytes":5,"entropy":2.5}',
     '{"ts":1,"entity":"p","kind":"file_rename","ext_before":"a","ext_after":7}',
     '{"ts":-1,"entity":"","kind":"nope","bytes":-1}',
+    # numbers at and past the 64-bit and float limits
+    '{"ts":%d,"entity":"p","kind":"file_read"}' % (2**63 - 1),
+    '{"ts":%d,"entity":"p","kind":"file_read"}' % 2**63,
+    _READ + ',"bytes":%d}' % 10**400,
+    _READ + ',"entropy":%d}' % 10**400,
+    _READ + ',"entropy":1e400}',
+    # values a lookup table keyed by str cannot hash
+    '{"ts":1,"entity":"p","kind":[1]}',
+    _READ + ',"truth":{}}',
 ])
 def test_parser_matches_the_json_loads_reference(line, strict):
     assert _outcome(parse_event_line, line, strict) == _outcome(_reference_parse, line, strict)

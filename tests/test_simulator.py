@@ -6,7 +6,7 @@ import json
 import pytest
 
 from zsd import simulator
-from zsd.ingest import parse_event_line
+from zsd.ingest import EventStream, parse_event_line, read_stream
 from zsd.simulator import (
     generate,
     load_presets,
@@ -216,12 +216,11 @@ def test_inline_profile_accepted():
 
 
 def test_write_events_round_trips_through_ingest(tmp_path):
-    from zsd.ingest import read_events
     doc = small_doc(attacks=[{"family": "blackmatter", "start_s": 5.0}])
     events, _ = generate(scenario_from_mapping(doc))
     path = tmp_path / "stream.jsonl"
     write_events(events, path)
-    again = read_events(str(path), strict=True)
+    again = list(read_stream(EventStream(str(path), strict=True)))
     assert len(again) == len(events)
     assert [e.ts for e in again] == [e.ts for e in events]
     assert [e.truth for e in again] == [e.truth for e in events]

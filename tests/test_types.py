@@ -55,7 +55,6 @@ def test_min_pts_zero_rejected():
         ("smooth_m", 0),
         ("seq_len", 0),
         ("window_events", 0),
-        ("workers", 0),
     ],
 )
 def test_bound_violations_name_the_field(field, value):
@@ -80,26 +79,32 @@ def test_band_must_stay_inside_unit_interval():
         validate_config(PipelineConfig(tau=0.05, delta=0.1))
 
 
-def test_config_round_trip_key_value():
+def test_config_key_value_document_names_every_field():
+    text = (
+        "# every field, no defaults\n"
+        "epsilon=0.22\nmin_pts=5\ntau=0.61\ndelta=0.02\nreeval_window=7\n"
+        "smooth_m=2\nsmooth_window=5\nseq_len=9\nwindow_events=64\n"
+        "\n  reference_capacity = 128  \n"
+    )
     cfg = PipelineConfig(epsilon=0.22, min_pts=5, tau=0.61, delta=0.02,
                          reeval_window=7, smooth_m=2, smooth_window=5,
-                         seq_len=9, window_events=64, reference_capacity=128,
-                         workers=3)
-    again = parse_config_text(cfg.to_file_text())
-    assert again == cfg
+                         seq_len=9, window_events=64, reference_capacity=128)
+    assert parse_config_text(text) == cfg
+    named = {line.partition("=")[0].strip() for line in text.splitlines()
+             if "=" in line}
+    assert named == {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def test_config_round_trip_json():
-    cfg = PipelineConfig(epsilon=0.5, workers=7)
-    doc = json.dumps({name: getattr(cfg, name) for name in (
-        "epsilon", "min_pts", "tau", "delta", "reeval_window", "smooth_m",
-        "smooth_window", "seq_len", "window_events", "reference_capacity",
-        "workers")})
+    cfg = PipelineConfig(epsilon=0.5, reference_capacity=512)
+    doc = json.dumps({f.name: getattr(cfg, f.name)
+                      for f in dataclasses.fields(PipelineConfig)})
     assert parse_config_text(doc) == cfg
 
 
-# nothing in detection draws random numbers, so there is no seed key
-@pytest.mark.parametrize("key", ["bogus", "seed"])
+# nothing in detection draws random numbers, so there is no seed key; and
+# detection runs in one process, so there is no workers key
+@pytest.mark.parametrize("key", ["bogus", "seed", "workers"])
 def test_unknown_key_is_an_error(key):
     with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
         config_from_mapping({"epsilon": 0.3, key: 1})
