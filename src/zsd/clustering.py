@@ -14,20 +14,18 @@ A reservoir works in one of two modes:
 
   1. A count bound. A reservoir that holds fewer than min_pts points cannot
      hold min_pts neighbors, so x is an Outlier and no point is examined.
-  2. A triangle-inequality shortcut. The reservoir keeps its newest vector
-     (the anchor) and ascending upper bounds on the distances from it to
-     min_pts retained points, itself included. If ``|x - anchor| + bound``
-     stays below epsilon for all of them, x has min_pts neighbors and is an
-     Inlier without a scan (the pruning of incremental DBSCAN, Ester et al.,
-     VLDB'98). x then becomes the anchor: its bounds are the old ones plus
-     ``|x - anchor|``, shifted down by one. The bounds are used only while
-     every point they cover is still retained.
+  2. A triangle-inequality shortcut. A scan that confirms density in its
+     first probe makes the new point the anchor and records a radius, its
+     distance to the (min_pts - 1)-th nearest point of that probe. While
+     those points are still retained, any x with ``|x - anchor| + radius``
+     below epsilon has min_pts neighbors (the anchor and those points) and
+     is an Inlier without a scan: the pruning of incremental DBSCAN (Ester
+     et al., VLDB'98; Elkan, ICML 2003). Nothing else moves the anchor, so
+     it outlives the outliers and the shortcut inliers that follow it.
   3. A numpy scan of the ring by age, newest first -- recent behavior is
      where an entity's neighbors almost always are -- in probes of
      _FIRST_PROBE points that grow _PROBE_GROWTH-fold. It stops after the
-     probe that confirms min_pts neighbors. A scan that confirms density in
-     its first probe leaves fresh bounds for the shortcut, at any reservoir
-     size.
+     probe that confirms min_pts neighbors.
 
   Neighbor counts are therefore lower bounds: an inlier reports at least
   min_pts, an outlier settled by a scan reports its exact count, and an
@@ -54,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ClusterAssignment, FeatureVector, FEATURE_COUNT
+from .types import ClusterAssignment, FEATURE_COUNT
 
 # newest points examined by the first numpy probe of a scan, and the growth
 # factor of each further probe. Most dense neighborhoods are confirmed
@@ -114,12 +112,6 @@ def _scan_newest_first(pts, n, slot, x, thr, need):
     return cnt, scanned, first
 
 
-def _as_list(x: FeatureVector | np.ndarray | list | tuple) -> list[float]:
-    if isinstance(x, FeatureVector):
-        return [float(v) for v in x.values]
-    return np.asarray(x, dtype=np.float64).tolist()
-
-
 class ReferenceSet:
     """FIFO reservoir of up to ``capacity`` vectors.
 
@@ -134,7 +126,7 @@ class ReferenceSet:
     """
 
     __slots__ = ("capacity", "size", "inserted", "scans", "pts",
-                 "exact_counts", "_anchor", "_bounds", "_bounds_oldest")
+                 "exact_counts", "_anchor", "_radius", "_oldest")
 
     def __init__(self, capacity: int, exact_counts: bool = False):
         self.capacity = capacity
@@ -144,20 +136,16 @@ class ReferenceSet:
         self.pts = np.empty((min(capacity, _FIRST_ROWS), FEATURE_COUNT),
                             dtype=np.float64)
         self.exact_counts = exact_counts
-        # shortcut state: the newest vector, ascending upper bounds on its
-        # distances to distinct retained points (bounds[0] = 0.0 is the
-        # anchor itself), and the insertion index that every one of those
-        # points is at or after. None when no bounds are known.
+        # shortcut state, set by the last scan that confirmed density in
+        # its first probe: that scan's vector, the radius around it that
+        # holds min_pts retained points, and the insertion index that every
+        # one of those points is at or after. No anchor until such a scan.
         self._anchor: list[float] | None = None
-        self._bounds: list[float] | None = None
-        self._bounds_oldest = 0
+        self._radius = 0.0
+        self._oldest = 0
 
     def __len__(self) -> int:
         return self.size
-
-    def retained(self) -> np.ndarray:
-        """Currently retained vectors (copy, slot order)."""
-        return self.pts[: self.size].copy()
 
     def _grow(self) -> None:
         """Double the rows, up to capacity; called when every row is used."""
@@ -177,8 +165,9 @@ def assign_raw(
     """Core of assign() without the wrapper object: returns
     (outlier, neighbor_count) and inserts vec.
 
-    vec is a list of floats. The reservoir keeps it as its anchor, so the
-    caller must not change it afterwards.
+    vec is a list of floats. The reservoir may keep it as its anchor, so
+    the caller must not change it afterwards. A reservoir is used with one
+    min_pts: its anchor's radius covers that many points.
     """
     n = ref.size
     index = ref.inserted
@@ -197,20 +186,14 @@ def assign_raw(
         if n < min_pts:
             # too few points to hold min_pts neighbors: nothing is counted
             ref.pts[slot] = vec
-            ref._anchor = vec
-            ref._bounds = None
             return True, 0
-        bounds = ref._bounds
-        # every point the bounds cover must still be retained: the retained
-        # insertion indices are [index - n, index)
-        if (bounds is not None and len(bounds) >= min_pts
-                and ref._bounds_oldest >= index - n):
-            d = _dist(vec, ref._anchor)
-            if d + bounds[min_pts - 1] < epsilon - _MARGIN:
-                ref.pts[slot] = vec
-                ref._anchor = vec
-                ref._bounds = [0.0] + [d + b for b in bounds[:-1]]
-                return False, min_pts
+        anchor = ref._anchor
+        # every point the radius covers must still be retained: the
+        # retained insertion indices are [index - n, index)
+        if (anchor is not None and ref._oldest >= index - n
+                and _dist(vec, anchor) + ref._radius < epsilon - _MARGIN):
+            ref.pts[slot] = vec
+            return False, min_pts
 
     x = np.array(vec, dtype=np.float64)
     ref.scans += 1
@@ -219,24 +202,25 @@ def assign_raw(
     cnt, scanned, first = _scan_newest_first(
         ref.pts, n, slot, x, epsilon * epsilon, n + 1 if exact else min_pts)
     ref.pts[slot] = x
-    ref._anchor = vec
     outlier = cnt < min_pts
     if (not outlier and not exact and first is not None
             and scanned == len(first)):
-        # the first probe alone holds min_pts neighbors: its min_pts - 1
-        # nearest points bound the new anchor's neighborhood. Row j of
-        # first was inserted at index - scanned + j
+        # the first probe alone holds min_pts neighbors: vec and the
+        # min_pts - 1 nearest points of the probe lie within the radius.
+        # Row j of first was inserted at index - scanned + j
+        ref._anchor = vec
         near = np.argsort(first, kind="stable")[:min_pts - 1]
-        ref._bounds = [0.0] + np.sqrt(first[near]).tolist()
-        ref._bounds_oldest = (index - scanned + int(near.min())
-                              if len(near) else index)
-    else:
-        ref._bounds = None
+        if len(near):
+            ref._radius = math.sqrt(first[near[-1]])
+            ref._oldest = index - scanned + int(near.min())
+        else:
+            ref._radius = 0.0
+            ref._oldest = index
     return outlier, cnt
 
 
 def assign(
-    x: FeatureVector | np.ndarray,
+    x: np.ndarray,
     ref: ReferenceSet,
     epsilon: float,
     min_pts: int,
@@ -254,7 +238,8 @@ def assign(
     count, and an outlier on a reservoir holding fewer than min_pts points
     reports 0, because no point is examined.
     """
-    outlier, cnt = assign_raw(_as_list(x), ref, epsilon, min_pts)
+    outlier, cnt = assign_raw(np.asarray(x, dtype=np.float64).tolist(),
+                              ref, epsilon, min_pts)
     return ClusterAssignment(outlier, cnt)
 
 
@@ -284,7 +269,7 @@ def _pairwise_sq(points: np.ndarray, chunk: int = 128) -> np.ndarray:
 
 
 def dbscan_batch(
-    points: list[FeatureVector] | list[np.ndarray] | np.ndarray,
+    points: np.ndarray,
     epsilon: float,
     min_pts: int,
 ) -> BatchClustering:
@@ -294,10 +279,7 @@ def dbscan_batch(
     need min_pts neighbors, and cluster ids are assigned in first-core-point
     order with breadth-first expansion over core neighborhoods.
     """
-    if isinstance(points, np.ndarray):
-        arr = points.astype(np.float64, copy=False)
-    else:
-        arr = np.asarray([_as_list(p) for p in points], dtype=np.float64)
+    arr = np.asarray(points, dtype=np.float64)
     n = arr.shape[0]
     if n == 0:
         return BatchClustering(labels=[])

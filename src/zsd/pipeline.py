@@ -124,7 +124,10 @@ class RunStats:
     throughput_eps and the latency percentiles cover the processing stage
     only (dequeue to verdict); parse_seconds is reported separately when
     the caller parsed upfront. peak_retained_items counts buffered window
-    events + reference vectors + pending deferrals at the high-water mark.
+    events + reference vectors + pending deferrals at the end of input,
+    before the flush: windows and reservoirs never shrink within a run, so
+    that is their high-water mark; deferrals resolved earlier are not
+    counted.
     lines_skipped and ts_out_of_order are the input's malformed lines and
     backwards timestamps, filled in by a caller that parsed the input.
     gate_scans counts the density-gate calls that scanned a reservoir; the
@@ -174,8 +177,6 @@ class Pipeline:
         # per-entity state, in order of first arrival
         self.entities: dict[str, _EntityState] = {}
         self.verdicts: list[Verdict] = []  # output of the run in progress
-        self._retained = 0
-        self._peak_retained = 0
         self._latency_ns = array("q")  # wall-clock ns per event
 
     def _resolve(self, state: _EntityState, deferral: Deferral) -> Verdict:
@@ -210,7 +211,6 @@ class Pipeline:
             track.max_ts = event_ts
 
         window = state.window
-        retained_delta = 1 if len(window.events) < window.capacity else 0
         values = state.push(event)
 
         out = self.verdicts
@@ -222,10 +222,7 @@ class Pipeline:
             verdict = Verdict(event_ts, entity, _BENIGN, 0.0,
                               _FAST_PATH, decided_ts)
         else:
-            ref = state.ref
-            if ref.size < ref.capacity:
-                retained_delta += 1
-            gate = assign_raw(values, ref, cfg.epsilon, cfg.min_pts)
+            gate = assign_raw(values, state.ref, cfg.epsilon, cfg.min_pts)
 
             if not gate[0] or in_warmup:
                 # an inlier; or, in warmup, cold-start absorption: outlier
@@ -237,7 +234,6 @@ class Pipeline:
                 score = state.score(self.model)
                 decision = ens.decide_raw(score, cfg)
                 if decision is _DEFER:
-                    retained_delta += 1
                     track.defer(Deferral(
                         event_ts, window.seq + cfg.reeval_window, score,
                         window.seq, values, gate,
@@ -257,23 +253,15 @@ class Pipeline:
                 self.trace(verdict, window.seq, values, gate, None)
 
         if track.pending:
-            due = track.due_deferrals(window.seq)
-            if due:
-                retained_delta -= len(due)
-                for deferral in due:
-                    out.append(self._resolve(state, deferral))
+            for deferral in track.due_deferrals(window.seq):
+                out.append(self._resolve(state, deferral))
 
-        retained = self._retained + retained_delta
-        self._retained = retained
-        if retained > self._peak_retained:
-            self._peak_retained = retained
         self._latency_ns.append(perf() - t0)
 
     def flush(self) -> None:
         """Resolve every outstanding deferral (stream end) into ``self.verdicts``."""
         for state in self.entities.values():
             for deferral in state.track.drain():
-                self._retained -= 1
                 self.verdicts.append(self._resolve(state, deferral))
 
     def run(self, events: Iterable[Event]) -> tuple[list[Verdict], RunStats]:
@@ -286,6 +274,8 @@ class Pipeline:
         for event in events:
             n += 1
             process_event(event, n <= grace)
+        held = sum(len(s.window.events) + s.ref.size + len(s.track.pending or ())
+                   for s in self.entities.values())
         self.flush()
         elapsed = time.perf_counter() - t_start
 
@@ -300,9 +290,10 @@ class Pipeline:
             raise ens.ContractError(
                 f"verdict conservation violated: {len(verdicts)} verdicts for {n} events"
             )
-        return verdicts, self._stats(verdicts, elapsed)
+        return verdicts, self._stats(verdicts, elapsed, held)
 
-    def _stats(self, verdicts: list[Verdict], elapsed: float) -> RunStats:
+    def _stats(self, verdicts: list[Verdict], elapsed: float,
+               held: int) -> RunStats:
         n = len(verdicts)
         stats = RunStats(events_in=n, verdicts_out=n)
         stats.process_seconds = elapsed
@@ -319,7 +310,7 @@ class Pipeline:
         labels = Counter(map(_BY_LABEL, verdicts))
         stats.label_counts = {k.value: c for k, c in sorted(labels.items())}
         stats.deferred_events = phases[_DEFERRED_RESOLVED]
-        stats.peak_retained_items = self._peak_retained
+        stats.peak_retained_items = held
         stats.entities_seen = len(self.entities)
         stats.gate_scans = sum(s.ref.scans for s in self.entities.values())
         return stats

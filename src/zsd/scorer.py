@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .types import ConfigError, FeatureVector, FEATURE_COUNT, ZsdError
+from .types import ConfigError, FEATURE_COUNT, ZsdError
 
 SCORE_CLAMP = 1e-7
 MODEL_MAGIC = "ZSDMODEL"
@@ -110,24 +109,18 @@ class TrainConfig:
             raise ConfigError("clip_norm: must be > 0")
         if self.hidden < 1:
             raise ConfigError("hidden: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
+        if not (0 <= self.init_scale < math.inf):
+            raise ConfigError("init_scale: must be finite and >= 0")
 
 
-def _seq_matrix(seq: Sequence[FeatureVector] | np.ndarray, inputs: int) -> np.ndarray:
-    if isinstance(seq, np.ndarray):
-        if seq.ndim != 2 or seq.shape[1] != inputs:
-            raise DimensionError(f"sequence shape {seq.shape}, expected (*, {inputs})")
-        if seq.shape[0] < 1:
-            raise DimensionError("sequence must hold at least one vector")
-        return seq
-    rows = []
-    for x in seq:
-        vals = x.values if isinstance(x, FeatureVector) else x
-        if len(vals) != inputs:
-            raise DimensionError(f"vector length {len(vals)}, expected {inputs}")
-        rows.append(vals)
-    if not rows:
+def _seq_matrix(seq: np.ndarray, inputs: int) -> np.ndarray:
+    if seq.ndim != 2 or seq.shape[1] != inputs:
+        raise DimensionError(f"sequence shape {seq.shape}, expected (*, {inputs})")
+    if seq.shape[0] < 1:
         raise DimensionError("sequence must hold at least one vector")
-    return np.asarray(rows, dtype=np.float64)
+    return seq
 
 
 def _sigmoid(z: float) -> float:
@@ -149,7 +142,7 @@ class Prefix:
         self.rows = 0
 
 
-def forward(model: ScorerModel, seq: Sequence[FeatureVector] | np.ndarray,
+def forward(model: ScorerModel, seq: np.ndarray,
             prefix: Prefix | None = None) -> float:
     """Anomaly score in (0,1) for the sequence; deterministic.
 
@@ -206,7 +199,7 @@ class Gradient:
 
 def grad(
     model: ScorerModel,
-    seq: Sequence[FeatureVector] | np.ndarray,
+    seq: np.ndarray,
     label: int,
 ) -> tuple[Gradient, float, float]:
     """Exact gradient of loss(forward(seq), label) by backprop through time.
@@ -258,7 +251,7 @@ class TrainResult:
 
 
 def train(
-    dataset: list[tuple[Sequence[FeatureVector] | np.ndarray, int]],
+    dataset: list[tuple[np.ndarray, int]],
     cfg: TrainConfig,
 ) -> TrainResult:
     """Per-example SGD over the dataset; deterministic for (dataset, cfg).
@@ -273,12 +266,9 @@ def train(
     if labels != {0, 1}:
         raise DegenerateDataError("training set must contain both labels")
 
-    seqs = [_seq_matrix(s, FEATURE_COUNT if not isinstance(s, np.ndarray) else s.shape[1])
-            for s, _ in dataset]
-    inputs = seqs[0].shape[1]
-    for m in seqs:
-        if m.shape[1] != inputs:
-            raise DimensionError("inconsistent vector lengths in training set")
+    # every sequence must be as wide as the first
+    inputs = dataset[0][0].shape[-1]
+    seqs = [_seq_matrix(s, inputs) for s, _ in dataset]
     ys = [int(bool(lbl)) for _, lbl in dataset]
 
     rng = np.random.default_rng(cfg.seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics, simulator
 from .pipeline import RunStats, _EntityState, run_detection
 from .scorer import ScorerModel, TrainConfig, load_model, save_model, train
-from .types import Event, PipelineConfig, Truth, config_from_mapping, validate_config
+from .types import Event, PipelineConfig, Truth, config_from_mapping
 
 log = logging.getLogger(__name__)
 
@@ -94,16 +94,6 @@ def _load_suite(suite_dir: Path) -> dict:
         return json.load(fh)
 
 
-def _suite_config(doc: dict) -> PipelineConfig:
-    overrides = doc.get("config_overrides") or {}
-    if not overrides:
-        return validate_config(PipelineConfig())
-    defaults = PipelineConfig()
-    merged = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
-    merged.update(overrides)
-    return config_from_mapping(merged)
-
-
 def run_suite(
     suite_dir: str | Path,
     seeds: list[int] | None = None,
@@ -116,7 +106,7 @@ def run_suite(
     suite = doc["suite"]
     sweep_param = doc["sweep_param"]
     seeds = seeds if seeds is not None else list(doc["seeds"])
-    cfg = _suite_config(doc)
+    cfg = config_from_mapping(doc.get("config_overrides") or {})
     # a compact scorer generalizes the telltales instead of memorizing
     # residual cadence quirks; the big default is for standalone training
     tcfg = train_config or TrainConfig(epochs=10, hidden=16)

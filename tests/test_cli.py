@@ -337,14 +337,16 @@ def test_train_degenerate_data_exits_2(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", "0"), ("--hidden", "0"), ("--lr", "0"), ("--lr", "nan"),
-    ("--clip-norm", "0"),
+    ("--clip-norm", "0"), ("--train-seed", "-1"), ("--init-scale", "-1"),
+    ("--init-scale", "nan"), ("--init-scale", "inf"),
 ])
 def test_train_setting_out_of_range_exits_2(simulated, tmp_path, capsys, flag, value):
     events, _ = simulated
     out = tmp_path / "m.zsd"
     rc = main(["train", "--data", str(events), "-o", str(out), flag, value])
     assert rc == 2
-    assert f"zsd train: {flag[2:].replace('-', '_')}: must be" in capsys.readouterr().err
+    key = "seed" if flag == "--train-seed" else flag[2:].replace("-", "_")
+    assert f"zsd train: {key}: must be" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from zsd.clustering import (
     assign,
     dbscan_batch,
 )
-from zsd.types import FeatureVector
 
 EPS = 0.35
 MIN_PTS = 8
@@ -74,7 +73,7 @@ def test_eviction_is_oldest_first():
     for i in range(6):
         assign(np.full(12, i / 10), ref, 0.01, 2)
     # capacity 4: points 0 and 1 evicted, 2..5 retained in ring order
-    retained = {tuple(np.round(r, 6)) for r in ref.retained()}
+    retained = {tuple(np.round(r, 6)) for r in ref.pts[:ref.size]}
     assert tuple(np.round(np.full(12, 0.0), 6)) not in retained
     assert tuple(np.round(np.full(12, 0.5), 6)) in retained
     assert len(ref) == 4
@@ -110,13 +109,6 @@ def test_fast_and_exact_modes_agree_on_decisions():
                 assert a.neighbor_count == b.neighbor_count
             else:
                 assert a.neighbor_count <= b.neighbor_count
-
-
-def test_accepts_feature_vector_objects():
-    ref = ReferenceSet(8)
-    fv = FeatureVector(values=tuple([0.1] * 12), window_id=1, entity="e")
-    a = assign(fv, ref, EPS, 1)
-    assert a.outlier
 
 
 class TestDbscanBatch:
@@ -279,8 +271,8 @@ def test_small_steady_reservoir_is_settled_by_the_shortcut():
 @pytest.mark.parametrize("capacity", [32, 64])
 def test_wrapped_ring_within_one_probe_is_settled_by_the_shortcut(capacity):
     # a ring no larger than the first probe is scanned whole, evicted point
-    # included. Bounds through that point would be refused on the next call;
-    # bounds through the min_pts - 1 nearest retained points are not, so
+    # included. A radius through that point would be refused on the next call;
+    # one through the min_pts - 1 nearest retained points is not, so
     # after the wrap most calls skip the scan. Decisions equal exact mode's
     rng = np.random.default_rng(5)
     pts = np.clip(0.4 + 0.001 * rng.standard_normal((capacity + 400, 12)), 0, 1)
@@ -294,9 +286,28 @@ def test_wrapped_ring_within_one_probe_is_settled_by_the_shortcut(capacity):
     assert ref.scans - scans < 400 // 3
 
 
+def test_anchor_outlives_an_outlier():
+    # the first scan that confirms density sets the anchor and its radius;
+    # an outlier's scan leaves them, so the dense point after it is settled
+    # without a scan: two scans in all (min_pts confirms, the outlier)
+    rng = np.random.default_rng(8)
+    dense = np.clip(0.4 + 0.001 * rng.standard_normal((30, 12)), 0, 1)
+    pts = [*dense[:20], np.full(12, 0.95), *dense[20:]]
+    ref = ReferenceSet(64)
+    exact = ReferenceSet(64, exact_counts=True)
+    for i, p in enumerate(pts):
+        scans = ref.scans
+        a = assign(p, ref, EPS, MIN_PTS)
+        assert a.outlier == assign(p, exact, EPS, MIN_PTS).outlier
+        assert a.outlier == (i < MIN_PTS or i == 20)
+        if i == 21:
+            assert ref.scans == scans
+    assert ref.scans == 2
+
+
 def test_shortcut_ignores_bounds_that_cover_an_evicted_point():
     # capacity 2, min_pts 2: the third point's nearest neighbor is the first
-    # point, which its own insert evicts. Bounds through that point would
+    # point, which its own insert evicts. A radius through that point would
     # call the fourth point an inlier, but only one neighbor is retained
     c = np.full(12, 0.5)
     step = np.zeros(12)
@@ -323,13 +334,3 @@ def test_shortcut_declines_when_the_triangle_bound_reaches_epsilon():
     a = assign(c - 0.16 * step, ref, EPS, 2)
     assert a.outlier
     assert a.neighbor_count == 1
-
-
-def test_dbscan_batch_accepts_lists():
-    rng = np.random.default_rng(7)
-    pts = np.vstack([0.2 + 0.02 * rng.random((12, 12)), rng.random((6, 12))])
-    want = dbscan_batch(pts, EPS, 4).labels
-    assert dbscan_batch(list(pts), EPS, 4).labels == want
-    fvs = [FeatureVector(values=tuple(p), window_id=i, entity="e")
-           for i, p in enumerate(pts)]
-    assert dbscan_batch(fvs, EPS, 4).labels == want

@@ -308,6 +308,29 @@ def test_stats_shapes():
     assert "benign" in stats.label_counts
 
 
+def test_peak_retained_items_counts_the_state_held_at_end_of_input():
+    # a constant-0.5 scorer defers every scored outlier, and the deferrals
+    # of each entity's last reeval_window events are still pending when the
+    # input ends. Rebuilt from the trace, per entity: its window's events,
+    # its reservoir's vectors and the deferrals not yet due at its last
+    # event. Windows and reservoirs are small enough to fill
+    cfg = validate_config(PipelineConfig(window_events=32, reference_capacity=40))
+    records = []
+    _, stats = run_detection(busy_mixed_stream(600), banded_model(), cfg,
+                             trace=lambda *rec: records.append(rec))
+    events = Counter(r[0].entity for r in records)
+    gated = Counter(r[0].entity for r in records if r[3] is not None)
+    pending = Counter(
+        r[0].entity for r in records
+        if r[0].phase is Phase.DEFERRED_RESOLVED
+        and r[1] + cfg.reeval_window > events[r[0].entity])
+    assert sum(pending.values()) > 0
+    assert max(gated.values()) > cfg.reference_capacity
+    assert stats.peak_retained_items == sum(
+        min(n, cfg.window_events) + min(gated[e], cfg.reference_capacity)
+        + pending[e] for e, n in events.items())
+
+
 def test_readme_describes_every_stats_key():
     # one row per key in the README's stats document table, no more
     import json
@@ -464,7 +487,10 @@ def test_prefix_is_released_when_the_sequence_wraps():
 
 def test_benchmark_patch_points_exist():
     # perfbench/tracing.py wraps these names to time each layer; a renamed
-    # one would leave its per-layer metrics null, so it fails here instead
+    # one would leave its per-layer metrics null, so it fails here instead.
+    # A short traced run then checks what its hooks and perfbench/run.py
+    # read: ReferenceSet.size, smooth's (final, changed) pair and the
+    # peak_retained_items stats field
     import importlib
     import importlib.util
     from pathlib import Path
@@ -479,6 +505,15 @@ def test_benchmark_patch_points_exist():
         for part in attr_path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr_path)
+
+    tracer = tracing.Tracer()
+    with tracer:
+        _, stats = run_detection(busy_mixed_stream(600), banded_model(),
+                                 validate_config(PipelineConfig()))
+    assert tracer.missing == []
+    assert all(calls > 0 for calls, _, _ in tracer.stats.values()), tracer.stats
+    assert tracer.reservoir_total > 0 and tracer.gate_inliers > 0
+    assert stats.peak_retained_items > 0
 
 
 # sha256 of the verdict file, one to_json_line() + "\n" per verdict, for
