@@ -41,6 +41,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -78,28 +79,37 @@ _SENSOR_BURST = 400.0
 _RENAME_OPS_PER_SEC = 8.0
 
 
-def _box_muller(u1: float, u2: float, mean: float, sd: float) -> float:
+# Box-Muller with a fixed two-draw budget (random.gauss uses rejection). The
+# three helpers below each spell the transform out, so that a draw costs one
+# call: u1 is floored at 1e-12 and the value is mean + sd * z.
+def _box_muller_clamped(us: tuple[float, float], mean: float, sd: float) -> float:
+    """Entropy from two uniforms drawn ahead, clamped to [0, 8]."""
+    u1, u2 = us
     if u1 < 1e-12:
         u1 = 1e-12
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return mean + sd * z
-
-
-def _box_muller_clamped(us: tuple[float, float], mean: float, sd: float) -> float:
-    return min(8.0, max(0.0, _box_muller(us[0], us[1], mean, sd)))
-
-
-def _gauss(rng: random.Random, mean: float, sd: float) -> float:
-    """Box-Muller with a fixed two-draw budget (random.gauss uses rejection)."""
-    return _box_muller(rng.random(), rng.random(), mean, sd)
+    x = mean + sd * (math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    x = x if x > 0.0 else 0.0
+    return x if x < 8.0 else 8.0
 
 
 def _entropy_clamped(rng: random.Random, mean: float, sd: float) -> float:
-    return min(8.0, max(0.0, _gauss(rng, mean, sd)))
+    u1 = rng.random()
+    u2 = rng.random()
+    if u1 < 1e-12:
+        u1 = 1e-12
+    x = mean + sd * (math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    x = x if x > 0.0 else 0.0
+    return x if x < 8.0 else 8.0
 
 
 def _lognormal_bytes(rng: random.Random, mu: float, sigma: float) -> int:
-    return max(1, int(math.exp(_gauss(rng, mu, sigma))))
+    u1 = rng.random()
+    u2 = rng.random()
+    if u1 < 1e-12:
+        u1 = 1e-12
+    n = int(math.exp(mu + sigma * (math.sqrt(-2.0 * math.log(u1))
+                                   * math.cos(2.0 * math.pi * u2))))
+    return n if n > 1 else 1
 
 
 @dataclass
@@ -222,6 +232,20 @@ def _source_rng(scenario_seed: int, source: str) -> random.Random:
     return random.Random(f"{scenario_seed}:{source}")
 
 
+# The sources build each Event positionally, in field order (ts, entity, kind,
+# path, ext_before, ext_after, bytes, entropy, dst, truth), from these
+# constants: keyword arguments and an Enum's class attribute lookup each cost
+# more than the rest of making an event.
+_FILE_READ = EventKind.FILE_READ
+_FILE_WRITE = EventKind.FILE_WRITE
+_FILE_RENAME = EventKind.FILE_RENAME
+_FILE_DELETE = EventKind.FILE_DELETE
+_NET_CONNECT = EventKind.NET_CONNECT
+_NET_SEND = EventKind.NET_SEND
+_BENIGN = Truth.BENIGN
+_MALICIOUS = Truth.MALICIOUS
+
+
 def _office_events(rng: random.Random, entity: str, duration: float) -> Iterator[Event]:
     exts = [FILETYPES[int(rng.random() * 4)] for _ in range(40)]
     pool = [f"/home/{entity}/docs/doc_{i:03d}.{exts[i]}" for i in range(40)]
@@ -233,45 +257,41 @@ def _office_events(rng: random.Random, entity: str, duration: float) -> Iterator
     # sessions begin throughout the run, usually with a mail-client sync
     t = rng.random() * duration * 0.5
     if mail_p > 0 and rng.random() < 0.75 and t < duration:
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_CONNECT,
-                    dst="mail.corp", truth=Truth.BENIGN)
+        yield Event(int(t * 1e6), entity, _NET_CONNECT, None, None, None, None, None,
+                    "mail.corp", _BENIGN)
         t += 0.05 + rng.random() * 0.3
         if t < duration:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_SEND,
-                        dst="mail.corp", bytes=_lognormal_bytes(rng, 8.0, 0.6),
-                        entropy=_entropy_clamped(rng, 5.2, 0.5), truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None,
+                        _lognormal_bytes(rng, 8.0, 0.6),
+                        _entropy_clamped(rng, 5.2, 0.5), "mail.corp", _BENIGN)
         t += 0.3 + rng.random() * 2.0
     while t < duration:
         i = int(rng.random() * len(pool))
         path = pool[i]
         base = _EXT_ENTROPY[exts[i]]
         ent = _entropy_clamped(rng, base, 0.5)
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_READ,
-                    path=path, bytes=_lognormal_bytes(rng, 9.8, 0.8),
-                    entropy=ent, truth=Truth.BENIGN)
+        yield Event(int(t * 1e6), entity, _FILE_READ, path, None, None,
+                    _lognormal_bytes(rng, 9.8, 0.8), ent, None, _BENIGN)
         t += 0.05 + rng.random() * 0.4
         u = rng.random()
         if u < write_p and t < duration:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_WRITE,
-                        path=path, bytes=_lognormal_bytes(rng, 9.9, 0.8),
-                        entropy=_entropy_clamped(rng, base + 0.1, 0.5),
-                        truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _FILE_WRITE, path, None, None,
+                        _lognormal_bytes(rng, 9.9, 0.8),
+                        _entropy_clamped(rng, base + 0.1, 0.5), None, _BENIGN)
             t += 0.05 + rng.random() * 0.3
             # autosave: temp file renamed over the document
             if rng.random() < 0.12 and t < duration:
-                yield Event(ts=int(t * 1e6), entity=entity,
-                            kind=EventKind.FILE_RENAME, path=path,
-                            ext_before="tmp", ext_after=exts[i],
-                            truth=Truth.BENIGN)
+                yield Event(int(t * 1e6), entity, _FILE_RENAME, path, "tmp", exts[i],
+                            None, None, None, _BENIGN)
                 t += 0.02 + rng.random() * 0.1
         elif u < write_p + mail_p and t < duration:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_CONNECT,
-                        dst="mail.corp", truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _NET_CONNECT, None, None, None, None,
+                        None, "mail.corp", _BENIGN)
             t += 0.02 + rng.random() * 0.1
             if t < duration:
-                yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_SEND,
-                            dst="mail.corp", bytes=_lognormal_bytes(rng, 8.5, 0.7),
-                            entropy=_entropy_clamped(rng, 5.2, 0.5), truth=Truth.BENIGN)
+                yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None,
+                            _lognormal_bytes(rng, 8.5, 0.7),
+                            _entropy_clamped(rng, 5.2, 0.5), "mail.corp", _BENIGN)
             t += 0.02 + rng.random() * 0.1
         # long think-time between touches
         t += (1.0 + rng.random() * 6.0) * pace
@@ -288,13 +308,13 @@ def _build_events(rng: random.Random, entity: str, duration: float,
     build_no = 0
     # CI-style session start: fetch dependencies from the registry
     if t < duration:
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_CONNECT,
-                    dst="registry.corp", truth=Truth.BENIGN)
+        yield Event(int(t * 1e6), entity, _NET_CONNECT, None, None, None, None, None,
+                    "registry.corp", _BENIGN)
         t += 0.05 + rng.random() * 0.5
         if rng.random() < 0.8 and t < duration:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_SEND,
-                        dst="registry.corp", bytes=_lognormal_bytes(rng, 9.5, 0.8),
-                        entropy=_entropy_clamped(rng, 6.0, 0.5), truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None,
+                        _lognormal_bytes(rng, 9.5, 0.8),
+                        _entropy_clamped(rng, 6.0, 0.5), "registry.corp", _BENIGN)
             t += 0.1 + rng.random() * 1.5
     while t < duration:
         n_src = 12 + int(rng.random() * 24)
@@ -307,39 +327,37 @@ def _build_events(rng: random.Random, entity: str, duration: float,
             else:
                 rpath = f"/src/{entity}/mod_{i:03d}.c"
                 rent = _entropy_clamped(rng, 5.0, 0.3)
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_READ,
-                        path=rpath, bytes=_lognormal_bytes(rng, 9.0, 0.6),
-                        entropy=rent, truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _FILE_READ, rpath, None, None,
+                        _lognormal_bytes(rng, 9.0, 0.6), rent, None, _BENIGN)
             t += 0.002 + rng.random() * 0.01
         n_obj = max(4, int(n_src * 0.8))
         for i in range(n_obj):
             if t >= duration:
                 return
             obj = f"/build/{entity}/mod_{i:03d}.o"
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_WRITE,
-                        path=obj, bytes=_lognormal_bytes(rng, 10.5, 0.7),
-                        entropy=_entropy_clamped(rng, 6.1, 0.25), truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _FILE_WRITE, obj, None, None,
+                        _lognormal_bytes(rng, 10.5, 0.7),
+                        _entropy_clamped(rng, 6.1, 0.25), None, _BENIGN)
             t += 0.001 + rng.random() * 0.006
             # compilers write to temp files and rename them into place
             if rng.random() < 0.35 and t < duration:
-                yield Event(ts=int(t * 1e6), entity=entity,
-                            kind=EventKind.FILE_RENAME, path=obj,
-                            ext_before="tmp", ext_after="o", truth=Truth.BENIGN)
+                yield Event(int(t * 1e6), entity, _FILE_RENAME, obj, "tmp", "o", None,
+                            None, None, _BENIGN)
                 t += 0.001 + rng.random() * 0.004
         if t < duration:
             exe = f"/build/{entity}/app_{build_no:04d}.exe"
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_WRITE,
-                        path=exe, bytes=_lognormal_bytes(rng, 12.0, 0.5),
-                        entropy=_entropy_clamped(rng, 6.4, 0.2), truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _FILE_WRITE, exe, None, None,
+                        _lognormal_bytes(rng, 12.0, 0.5),
+                        _entropy_clamped(rng, 6.4, 0.2), None, _BENIGN)
             t += 0.01 + rng.random() * 0.02
             if t < duration:
-                yield Event(ts=int(t * 1e6), entity=entity,
-                            kind=EventKind.FILE_RENAME, path=exe,
-                            ext_before="tmp", ext_after="exe", truth=Truth.BENIGN)
+                yield Event(int(t * 1e6), entity, _FILE_RENAME, exe, "tmp", "exe", None,
+                            None, None, _BENIGN)
         if rng.random() < 0.3 and t + 0.05 < duration:
             t += 0.05
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_DELETE,
-                        path=f"/build/{entity}/mod_000.o", truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _FILE_DELETE,
+                        f"/build/{entity}/mod_000.o", None, None, None, None, None,
+                        _BENIGN)
         build_no += 1
         t += 8.0 + rng.random() * 30.0
 
@@ -361,8 +379,8 @@ def _backup_events(rng: random.Random, entity: str, duration: float) -> Iterator
     last_send = t
     next_scan = t  # sessions open with an enumeration scan
     if t < duration:
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_CONNECT,
-                    dst="vault.corp", truth=Truth.BENIGN)
+        yield Event(int(t * 1e6), entity, _NET_CONNECT, None, None, None, None, None,
+                    "vault.corp", _BENIGN)
         t += 0.02 + rng.random() * 0.2
     while t < duration:
         if t >= next_scan:
@@ -373,18 +391,16 @@ def _backup_events(rng: random.Random, entity: str, duration: float) -> Iterator
                 if t >= duration:
                     return
                 ext = FILETYPES[int(rng.random() * 4)]
-                yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_READ,
-                            path=f"/data/{entity}/s_{int(rng.random() * 4000):05d}.{ext}",
-                            bytes=_lognormal_bytes(rng, 8.0, 0.5),
-                            entropy=_entropy_clamped(rng, _EXT_ENTROPY[ext], 0.5),
-                            truth=Truth.BENIGN)
+                yield Event(int(t * 1e6), entity, _FILE_READ,
+                            f"/data/{entity}/s_{int(rng.random() * 4000):05d}.{ext}",
+                            None, None, _lognormal_bytes(rng, 8.0, 0.5),
+                            _entropy_clamped(rng, _EXT_ENTROPY[ext], 0.5), None,
+                            _BENIGN)
                 t += 0.01 + rng.random() * 0.04
                 if t - last_send > send_every * 0.5 and t < duration:
-                    yield Event(ts=int(t * 1e6), entity=entity,
-                                kind=EventKind.NET_SEND, dst="vault.corp",
-                                bytes=_lognormal_bytes(rng, 10.0, 0.8),
-                                entropy=_entropy_clamped(rng, 6.8, 0.6),
-                                truth=Truth.BENIGN)
+                    yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None,
+                                _lognormal_bytes(rng, 10.0, 0.8),
+                                _entropy_clamped(rng, 6.8, 0.6), "vault.corp", _BENIGN)
                     last_send = t
                     t += 0.01 + rng.random() * 0.02
             next_scan = t + scan_every * (0.7 + 0.6 * rng.random())
@@ -397,25 +413,25 @@ def _backup_events(rng: random.Random, entity: str, duration: float) -> Iterator
             dst = f"/backup/{entity}/f_{i:05d}"
         ent = _entropy_clamped(rng, _EXT_ENTROPY[ext], 0.5)
         size = _lognormal_bytes(rng, 10.8, 0.9)
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_READ,
-                    path=src, bytes=size, entropy=ent, truth=Truth.BENIGN)
+        yield Event(int(t * 1e6), entity, _FILE_READ, src, None, None, size, ent, None,
+                    _BENIGN)
         t += (0.01 + rng.random() * 0.05) * pace
         if t >= duration:
             return
         if upload_only:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_SEND,
-                        dst="vault.corp", bytes=size, entropy=ent, truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None, size, ent,
+                        "vault.corp", _BENIGN)
             last_send = t
             i += 1
             t += (0.1 + rng.random() * 0.4) * pace
             continue
         # copy or in-place repair: entropy unchanged by construction
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_WRITE,
-                    path=dst, bytes=size, entropy=ent, truth=Truth.BENIGN)
+        yield Event(int(t * 1e6), entity, _FILE_WRITE, dst, None, None, size, ent, None,
+                    _BENIGN)
         t += (0.02 + rng.random() * 0.08) * pace
         if t - last_send > send_every and t < duration:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_SEND,
-                        dst="vault.corp", bytes=size, entropy=ent, truth=Truth.BENIGN)
+            yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None, size, ent,
+                        "vault.corp", _BENIGN)
             last_send = t
             t += 0.01 + rng.random() * 0.03
         i += 1
@@ -484,8 +500,8 @@ def _attack_file_events(
 
         if t >= duration:
             return
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_READ,
-                    path=path, bytes=size, entropy=e_read, truth=Truth.MALICIOUS)
+        yield Event(int(t * 1e6), entity, _FILE_READ, path, None, None, size, e_read,
+                    None, _MALICIOUS)
         tw = t + d1
         if tw >= duration:
             return
@@ -505,16 +521,14 @@ def _attack_file_events(
             write_path = f"/u/victim/files/.stage/c_{j:06d}.{ext}"
         else:
             write_path = path
-        yield Event(ts=int(tw * 1e6), entity=entity, kind=EventKind.FILE_WRITE,
-                    path=write_path, bytes=size, entropy=e_write,
-                    truth=Truth.MALICIOUS)
+        yield Event(int(tw * 1e6), entity, _FILE_WRITE, write_path, None, None, size,
+                    e_write, None, _MALICIOUS)
         tr = t + d2
         if tr >= duration:
             return
         if u_mask_rename >= 1.0 - rename_keep * (1.0 - profile.obfuscation):
-            yield Event(ts=int(tr * 1e6), entity=entity, kind=EventKind.FILE_RENAME,
-                        path=path, ext_before=ext, ext_after=profile.rename_to_ext,
-                        truth=Truth.MALICIOUS)
+            yield Event(int(tr * 1e6), entity, _FILE_RENAME, path, ext,
+                        profile.rename_to_ext, None, None, None, _MALICIOUS)
         j += 1
         t += step
 
@@ -537,8 +551,8 @@ def _attack_exfil_events(
             return
         cycle = (t - start) // _CYCLE_SECONDS if duty < 1.0 else 0.0
         if cycle != connected_cycle:
-            yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_CONNECT,
-                        dst="203.0.113.66", truth=Truth.MALICIOUS)
+            yield Event(int(t * 1e6), entity, _NET_CONNECT, None, None, None, None,
+                        None, "203.0.113.66", _MALICIOUS)
             connected_cycle = cycle
             t += 0.01
             if t >= end:
@@ -553,11 +567,11 @@ def _attack_exfil_events(
         u_stage = (rng.random(), rng.random())
         # staging read: exfiltration reads what it steals
         rext = FILETYPES[int(u_rext * 4)]
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.FILE_READ,
-                    path=f"/u/victim/files/x_{int(u_rext * 5000):05d}.{rext}",
-                    bytes=_lognormal_bytes(rng, 10.2, 0.8),
-                    entropy=_box_muller_clamped(u_stage, _EXT_ENTROPY[rext], 0.5),
-                    truth=Truth.MALICIOUS)
+        yield Event(int(t * 1e6), entity, _FILE_READ,
+                    f"/u/victim/files/x_{int(u_rext * 5000):05d}.{rext}", None, None,
+                    _lognormal_bytes(rng, 10.2, 0.8),
+                    _box_muller_clamped(u_stage, _EXT_ENTROPY[rext], 0.5), None,
+                    _MALICIOUS)
         t += 0.02 + 0.05 * rng.random()
         if t >= end:
             return
@@ -565,9 +579,8 @@ def _attack_exfil_events(
             nbytes, ent = benign_size, e_cold
         else:
             nbytes, ent = max(1, int(burst * jitter)), e_hot
-        yield Event(ts=int(t * 1e6), entity=entity, kind=EventKind.NET_SEND,
-                    dst="203.0.113.66", bytes=nbytes, entropy=ent,
-                    truth=Truth.MALICIOUS)
+        yield Event(int(t * 1e6), entity, _NET_SEND, None, None, None, nbytes, ent,
+                    "203.0.113.66", _MALICIOUS)
         t += _EXFIL_INTERVAL
 
 
@@ -602,7 +615,7 @@ def generate(scenario: Scenario) -> tuple[list[Event], TruthIndex]:
     duration = scenario.duration_s
     seed = scenario.seed
     truth = TruthIndex()
-    streams = []
+    streams: list[Iterator[Event]] = []
 
     for i in range(scenario.benign_workers.get("office", 0)):
         entity = f"office_{i}"
@@ -647,68 +660,85 @@ def generate(scenario: Scenario) -> tuple[list[Event], TruthIndex]:
     # merge per-source sorted streams (tie-break on stream index), applying
     # the per-entity sensor rate limit deterministically
     events: list[Event] = []
-    iters = [iter(s) for s in streams]
-    heap: list[tuple[int, int, Event]] = []
-    for idx, it in enumerate(iters):
-        first = next(it, None)
+    heap: list[tuple[int, int, Event, Iterator[Event]]] = []
+    for idx, stream in enumerate(streams):
+        first = next(stream, None)
         if first is not None:
-            heapq.heappush(heap, (first.ts, idx, first))
-    buckets: dict[str, tuple[float, int]] = {}
+            heap.append((first.ts, idx, first, stream))
+    heapq.heapify(heap)
+    # entity -> [tokens, ts of its last event]
+    buckets: dict[str, list] = {}
+    # an entity's first event always passes (its bucket starts full), so the
+    # ts that opens a bucket is the entity's first kept ts
+    first_kept: dict[str, int] = {}
+    tokens_per_us = _SENSOR_RATE_PER_SEC / 1e6
     while heap:
-        _, idx, evt = heapq.heappop(heap)
-        state = buckets.get(evt.entity)
-        if state is None:
-            tokens, last_ts = _SENSOR_BURST, evt.ts
-        else:
-            tokens, last_ts = state
-            tokens = min(
-                _SENSOR_BURST,
-                tokens + (evt.ts - last_ts) * (_SENSOR_RATE_PER_SEC / 1e6),
-            )
-        if tokens >= 1.0:
-            tokens -= 1.0
+        ts, idx, evt, stream = heap[0]
+        bucket = buckets.get(evt.entity)
+        if bucket is None:
+            buckets[evt.entity] = [_SENSOR_BURST - 1.0, ts]
+            first_kept[evt.entity] = ts
             events.append(evt)
-        buckets[evt.entity] = (tokens, evt.ts)
-        nxt = next(iters[idx], None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt.ts, idx, nxt))
+        else:
+            tokens = bucket[0] + (ts - bucket[1]) * tokens_per_us
+            if tokens > _SENSOR_BURST:
+                tokens = _SENSOR_BURST
+            if tokens >= 1.0:
+                tokens -= 1.0
+                events.append(evt)
+            bucket[0] = tokens
+            bucket[1] = ts
+        nxt = next(stream, None)
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (nxt.ts, idx, nxt, stream))
 
     for entity, info in truth.entities.items():
-        if info["label"] == "malicious":
-            first = next((e.ts for e in events if e.entity == entity), None)
-            if first is not None:
-                info["first_malicious_ts"] = first
+        if info["label"] == "malicious" and entity in first_kept:
+            info["first_malicious_ts"] = first_kept[entity]
     return events, truth
 
 
-# one encoder for every line; json.dumps would build one per call
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+# wire text of each kind, and the tail of a line for each truth
+_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EventKind}
+_TRUTH_TAIL = {None: "}"} | {
+    truth: ',"truth":%s}' % encode_basestring_ascii(truth.value) for truth in Truth}
 
 
 def event_to_json_line(event: Event) -> str:
-    obj: dict = {"ts": event.ts, "entity": event.entity, "kind": event.kind.value}
+    """One JSON object on one line: the text the compact ``json`` encoder
+    gives for the event's fields in declaration order, absent fields left
+    out, entropy rounded to 6 decimals."""
+    # encode_basestring_ascii is the quoting json.dumps applies to a str
+    line = '{"ts":%d,"entity":%s,"kind":%s' % (
+        event.ts, encode_basestring_ascii(event.entity), _KIND_TEXT[event.kind])
     if event.path is not None:
-        obj["path"] = event.path
+        line += ',"path":' + encode_basestring_ascii(event.path)
     if event.ext_before is not None:
-        obj["ext_before"] = event.ext_before
+        line += ',"ext_before":' + encode_basestring_ascii(event.ext_before)
     if event.ext_after is not None:
-        obj["ext_after"] = event.ext_after
+        line += ',"ext_after":' + encode_basestring_ascii(event.ext_after)
     if event.bytes is not None:
-        obj["bytes"] = event.bytes
-    if event.entropy is not None:
-        obj["entropy"] = round(event.entropy, 6)
+        line += ',"bytes":%d' % event.bytes
+    entropy = event.entropy
+    if entropy is not None:
+        entropy = round(entropy, 6)
+        if math.isfinite(entropy):
+            line += ',"entropy":%r' % entropy
+        else:
+            # json's spelling of the non-finite floats
+            line += ',"entropy":' + ("NaN" if entropy != entropy else
+                                     "Infinity" if entropy > 0 else "-Infinity")
     if event.dst is not None:
-        obj["dst"] = event.dst
-    if event.truth is not None:
-        obj["truth"] = event.truth.value
-    return _encode_compact(obj)
+        line += ',"dst":' + encode_basestring_ascii(event.dst)
+    return line + _TRUTH_TAIL[event.truth]
 
 
 def write_events(events: list[Event], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in events:
-            fh.write(event_to_json_line(e))
-            fh.write("\n")
+            fh.write(event_to_json_line(e) + "\n")
 
 
 def _scenario_doc(

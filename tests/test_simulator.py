@@ -1,9 +1,13 @@
 """Generator determinism, schema validity, label soundness, suite layout."""
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsd import simulator
 from zsd.ingest import EventStream, parse_event_line, read_stream
@@ -15,7 +19,7 @@ from zsd.simulator import (
     scenario_from_mapping,
     write_events,
 )
-from zsd.types import ConfigError, EventKind, Truth
+from zsd.types import ConfigError, Event, EventKind, Truth
 
 
 def small_doc(**overrides):
@@ -221,9 +225,115 @@ def test_write_events_round_trips_through_ingest(tmp_path):
     path = tmp_path / "stream.jsonl"
     write_events(events, path)
     again = list(read_stream(EventStream(str(path), strict=True)))
-    assert len(again) == len(events)
-    assert [e.ts for e in again] == [e.ts for e in events]
-    assert [e.truth for e in again] == [e.truth for e in events]
+    # every field comes back; the line carries entropy to 6 decimals
+    written = [Event(e.ts, e.entity, e.kind, e.path, e.ext_before, e.ext_after,
+                     e.bytes, None if e.entropy is None else round(e.entropy, 6),
+                     e.dst, e.truth) for e in events]
+    assert again == written
+    # and the stream sets every field somewhere
+    for f in dataclasses.fields(Event):
+        assert any(getattr(e, f.name) is not None for e in events), f.name
+
+
+# The line writer's reference: the compact json encoding of a dict holding
+# the present fields in declaration order, entropy rounded to 6 decimals.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _reference_line(event):
+    obj = {"ts": event.ts, "entity": event.entity, "kind": event.kind.value}
+    if event.path is not None:
+        obj["path"] = event.path
+    if event.ext_before is not None:
+        obj["ext_before"] = event.ext_before
+    if event.ext_after is not None:
+        obj["ext_after"] = event.ext_after
+    if event.bytes is not None:
+        obj["bytes"] = event.bytes
+    if event.entropy is not None:
+        obj["entropy"] = round(event.entropy, 6)
+    if event.dst is not None:
+        obj["dst"] = event.dst
+    if event.truth is not None:
+        obj["truth"] = event.truth.value
+    return _compact_json(obj)
+
+
+# any code point, lone surrogates included, plus the ones json escapes
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff'),
+                         st.characters(exclude_categories=())))
+INT64 = st.integers(-(2**63), 2**63 - 1)
+ENTROPY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 8.0),
+    # halfway and near-halfway cases at the sixth decimal
+    st.integers(0, 8_000_000).map(lambda k: (k + 0.5) / 1e6),
+    st.sampled_from([0.0, -0.0, 7.9999995, 1e-7, 5e-7, math.nan, math.inf, -math.inf]),
+)
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(Event, ts=INT64, entity=TEXT, kind=st.sampled_from(EventKind),
+                 path=optional(TEXT), ext_before=optional(TEXT),
+                 ext_after=optional(TEXT), bytes=optional(INT64),
+                 entropy=optional(ENTROPY), dst=optional(TEXT),
+                 truth=optional(st.sampled_from(Truth))))
+def test_event_line_is_the_compact_json_encoding(event):
+    assert simulator.event_to_json_line(event) == _reference_line(event)
+
+
+# Small seeded scenarios that together reach every event source: at seed 9
+# office_0 and office_1 sync mail and office_2 never does; build_0s0 is an
+# incremental session and build_1s0 a clean one; backup_0 repairs in place,
+# backup_1 copies and backup_2 only uploads. The attacks run the file and
+# exfil streams of all four families with obfuscation > 0; atk_lockbit_4
+# floods at 300 files/s, which the sensor thins from 1,885 events to 654;
+# atk_revil_5 starts after the run ends and keeps its scheduled start as
+# first_malicious_ts.
+PINNED_STREAMS = {
+    "benign": {
+        "duration_s": 120.0, "seed": 9, "attacks": [],
+        "benign_workers": {"office": 3, "build": 2, "backup": 3},
+    },
+    "attacks": {
+        "duration_s": 40.0, "seed": 4, "benign_workers": {},
+        "attacks": [
+            {"family": family, "start_s": 2.0 * i, "overrides": {"obfuscation": 0.5}}
+            for i, family in enumerate(("lockbit", "conti", "revil", "blackmatter"))
+        ] + [
+            {"family": "lockbit", "start_s": 5.0,
+             "overrides": {"files_per_sec": 300.0, "obfuscation": 0.25}},
+            {"family": "revil", "start_s": 60.0},
+        ],
+    },
+}
+# sha256 of (write_events output, TruthIndex.save output) per scenario
+PINNED_STREAM_SHA256 = {
+    "benign": ("c7c5a5dab991d90276c884ef1753fa84e74f749d46267810ef9a115d4014767e",
+               "441623ce2da84ba9c4d5a4f3fe5715d06c9ecebce243b2e9ec1f8d8d8b9ea655"),
+    "attacks": ("d2789b5498fb54bae95375d900fbfaa2e35d44bffb306ac01a8ac6970f956e0a",
+                "dd8e18052dc805dd3ca6bb9a67af49d4ae45966bd79484a276b8de7dfd2244cd"),
+}
+
+
+def _file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_stream_bytes_are_pinned(tmp_path):
+    digests = {}
+    for name, doc in PINNED_STREAMS.items():
+        events, truth = generate(scenario_from_mapping(doc))
+        path = tmp_path / f"{name}.jsonl"
+        write_events(events, path)
+        truth.save(tmp_path / f"{name}.truth.json")
+        digests[name] = (_file_sha256(path),
+                         _file_sha256(tmp_path / f"{name}.truth.json"))
+    assert digests == PINNED_STREAM_SHA256
 
 
 @pytest.fixture(scope="module")
