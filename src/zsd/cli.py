@@ -250,8 +250,14 @@ def _cmd_detect(args) -> int:
 def _cmd_eval(args) -> int:
     from . import metrics, simulator
 
+    verdicts = []
     with open(args.verdicts, "r", encoding="utf-8") as fh:
-        verdicts = [Verdict.from_json_line(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    verdicts.append(Verdict.from_json_line(line))
+                except ValueError as exc:
+                    raise ZsdError(f"{args.verdicts}: line {line_no}: {exc}") from None
     truth = simulator.TruthIndex.load(args.truth)
     report = metrics.score_run(verdicts, truth)
     with open(args.output, "w", encoding="utf-8") as fh:

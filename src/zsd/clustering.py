@@ -6,42 +6,33 @@ bounded FIFO reservoir. The reservoir is a ring: until it is full the newest
 point sits at the highest slot, but once it has wrapped every insert
 overwrites the oldest slot, so ring age and slot order differ.
 
-A reservoir works in one of two modes:
+Counting stops as soon as min_pts neighbors are confirmed. Three tests
+settle the decision, cheapest first:
 
-* Decision-only (the default). Counting stops as soon as min_pts neighbors
-  are confirmed, and no per-point bookkeeping is kept. Three tests settle
-  the decision, cheapest first:
+1. A count bound. A reservoir that holds fewer than min_pts points cannot
+   hold min_pts neighbors, so x is an Outlier and no point is examined.
+2. A triangle-inequality shortcut. A scan that confirms density in its
+   first probe makes the new point the anchor and records a radius, its
+   distance to the (min_pts - 1)-th nearest point of that probe. While
+   those points are still retained, any x with ``|x - anchor| + radius``
+   below epsilon has min_pts neighbors (the anchor and those points) and
+   is an Inlier without a scan: the pruning of incremental DBSCAN (Ester
+   et al., VLDB'98; Elkan, ICML 2003). Nothing else moves the anchor, so
+   it outlives the outliers and the shortcut inliers that follow it.
+3. A numpy scan in two steps: the newest _FIRST_PROBE points -- recent
+   behavior is where an entity's neighbors almost always are -- and, when
+   they hold fewer than min_pts neighbors, the whole reservoir.
 
-  1. A count bound. A reservoir that holds fewer than min_pts points cannot
-     hold min_pts neighbors, so x is an Outlier and no point is examined.
-  2. A triangle-inequality shortcut. A scan that confirms density in its
-     first probe makes the new point the anchor and records a radius, its
-     distance to the (min_pts - 1)-th nearest point of that probe. While
-     those points are still retained, any x with ``|x - anchor| + radius``
-     below epsilon has min_pts neighbors (the anchor and those points) and
-     is an Inlier without a scan: the pruning of incremental DBSCAN (Ester
-     et al., VLDB'98; Elkan, ICML 2003). Nothing else moves the anchor, so
-     it outlives the outliers and the shortcut inliers that follow it.
-  3. A numpy scan of the ring by age, newest first -- recent behavior is
-     where an entity's neighbors almost always are -- in probes of
-     _FIRST_PROBE points that grow _PROBE_GROWTH-fold. It stops after the
-     probe that confirms min_pts neighbors.
-
-  Neighbor counts are therefore lower bounds: an inlier reports at least
-  min_pts, an outlier settled by a scan reports its exact count, and an
-  outlier settled by the count bound reports 0, since nothing was counted.
-
-* Exact (``exact_counts=True``), the test oracle. The same newest-first
-  scan runs over every retained point, with no bound and no shortcut, so
-  the reported neighbor count is the true one. The pipeline never uses it:
-  a true count can be recomputed offline from the traced features.
-
-Both modes make the same Inlier/Outlier partition: each compares the same
-squared distances with epsilon squared, the count bound only fires when
-min_pts neighbors are impossible, and the shortcut only fires when min_pts
-points are provably inside epsilon with a margin that covers rounding.
-Cluster ids are not tracked: a verdict reads only the Inlier/Outlier flag,
-and ``dbscan_batch`` labels clusters offline.
+Neighbor counts are therefore lower bounds: an inlier reports at least
+min_pts, an outlier settled by a scan reports its exact count, and an
+outlier settled by the count bound reports 0. Neither bound changes the
+Inlier/Outlier partition: the count bound fires only when min_pts
+neighbors are impossible, the shortcut only when min_pts points are
+provably inside epsilon with a margin that covers rounding. On a reservoir
+made with ``exact_counts=True``, ``assign`` reports true counts: the oracle
+the tests hold the gate to. The gate, that oracle and ``dbscan_batch``
+compute squared distances with one kernel, ``_sq_dists``. Cluster ids are
+not tracked: a verdict reads only the Inlier/Outlier flag.
 """
 
 from __future__ import annotations
@@ -54,11 +45,9 @@ import numpy as np
 
 from .types import ClusterAssignment, FEATURE_COUNT
 
-# newest points examined by the first numpy probe of a scan, and the growth
-# factor of each further probe. Most dense neighborhoods are confirmed
-# within the first probe, whose distances then seed the shortcut.
+# newest points examined by the first step of a scan. Most dense
+# neighborhoods are confirmed within it, and its distances seed the shortcut.
 _FIRST_PROBE = 64
-_PROBE_GROWTH = 8
 # the shortcut needs |x - anchor| + bound < epsilon - _MARGIN. Features lie
 # in [0, 1], where rounding in a 12-term distance is below 1e-15, so a
 # shortcut inlier is also inside the scan's ``d2 <= epsilon**2`` test.
@@ -70,46 +59,36 @@ _FIRST_ROWS = 16
 _dist = math.dist
 
 
+def _sq_dists(rows, x):
+    """Squared Euclidean distance from x to each row."""
+    diff = rows - x
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def _scan_newest_first(pts, n, slot, x, thr, need):
-    """Count the retained points with squared distance <= thr from x, by ring
-    age, newest first, until ``need`` are confirmed.
+    """Count the retained points with squared distance <= thr from x: first
+    the newest _FIRST_PROBE of them, then, unless they hold ``need``, all n.
 
     The newest point is at ``slot - 1`` and ages run down the slots; once the
     ring is full (n == capacity) they continue from the top slot down to
     ``slot`` itself, the point that the insert will evict and that still
-    counts. Returns (count, scanned, first): the neighbors seen, how many of
-    the newest points were examined, and the squared distances to the first
-    probe's points, oldest first (row j has age ``len(first) - 1 - j``;
-    None for an empty reservoir). The count is exact when every point was
-    scanned, which is always so for outliers.
+    counts. Returns (count, scanned, first): the neighbors seen, how many
+    points were examined, and the squared distances to the first probe's
+    points, oldest first (row j has age ``len(first) - 1 - j``). The count is
+    exact whenever every point was scanned, which is always so for outliers.
     """
-    cnt = 0
-    scanned = 0
-    width = _FIRST_PROBE
-    first = None
-    while scanned < n:
-        stop = scanned + width
-        if stop > n:
-            stop = n
-        # ages [scanned, stop) are slots [lo, hi), shifted by n where wrapped
-        hi = slot - scanned
-        lo = slot - stop
-        if lo >= 0:
-            rows = pts[lo:hi]
-        elif hi <= 0:
-            rows = pts[lo + n:hi + n]
-        else:
-            rows = np.concatenate((pts[lo + n:], pts[:hi]))
-        diff = rows - x
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        if first is None:
-            first = d2
-        cnt += int(np.count_nonzero(d2 <= thr))
-        scanned = stop
-        if cnt >= need:
-            break
-        width *= _PROBE_GROWTH
-    return cnt, scanned, first
+    stop = min(_FIRST_PROBE, n)
+    lo = slot - stop
+    if lo >= 0:
+        rows = pts[lo:slot]
+    else:  # the probe wraps: the ring's tail, then its head
+        rows = np.concatenate((pts[lo + n:n], pts[:slot]))
+    first = _sq_dists(rows, x)
+    cnt = int(np.count_nonzero(first <= thr))
+    if cnt >= need or stop == n:
+        return cnt, stop, first
+    # a count needs no age order, so the whole reservoir is one slice
+    return int(np.count_nonzero(_sq_dists(pts[:n], x) <= thr)), n, first
 
 
 class ReferenceSet:
@@ -117,12 +96,11 @@ class ReferenceSet:
 
     One instance per entity: an entity's density context is its own recent
     behavior, which keeps every entity's verdicts independent of how other
-    entities interleave. ``exact_counts=True`` makes every assign scan all
-    retained points, so its neighbor counts are exact; it is the oracle that
-    the tests hold the decision-only mode to. The points array
-    starts with _FIRST_ROWS rows and doubles as points arrive; only the
-    ring of a full reservoir has ``capacity`` rows. ``scans`` counts the
-    assigns that ran a numpy scan rather than being settled by a bound.
+    entities interleave. ``exact_counts=True`` makes ``assign`` report true
+    counts. The points array starts with _FIRST_ROWS rows and doubles as
+    points arrive; only the ring of a full reservoir has ``capacity`` rows.
+    ``scans`` counts the calls that ran a numpy scan rather than being
+    settled by a bound.
     """
 
     __slots__ = ("capacity", "size", "inserted", "scans", "pts",
@@ -181,30 +159,25 @@ def assign_raw(
         slot = index % capacity
     ref.inserted = index + 1
 
-    exact = ref.exact_counts
-    if not exact:
-        if n < min_pts:
-            # too few points to hold min_pts neighbors: nothing is counted
-            ref.pts[slot] = vec
-            return True, 0
-        anchor = ref._anchor
-        # every point the radius covers must still be retained: the
-        # retained insertion indices are [index - n, index)
-        if (anchor is not None and ref._oldest >= index - n
-                and _dist(vec, anchor) + ref._radius < epsilon - _MARGIN):
-            ref.pts[slot] = vec
-            return False, min_pts
+    if n < min_pts:
+        # too few points to hold min_pts neighbors: nothing is counted
+        ref.pts[slot] = vec
+        return True, 0
+    anchor = ref._anchor
+    # every point the radius covers must still be retained: the
+    # retained insertion indices are [index - n, index)
+    if (anchor is not None and ref._oldest >= index - n
+            and _dist(vec, anchor) + ref._radius < epsilon - _MARGIN):
+        ref.pts[slot] = vec
+        return False, min_pts
 
     x = np.array(vec, dtype=np.float64)
     ref.scans += 1
-    # an exact reservoir asks for more neighbors than it holds, so its scan
-    # counts every retained point
     cnt, scanned, first = _scan_newest_first(
-        ref.pts, n, slot, x, epsilon * epsilon, n + 1 if exact else min_pts)
+        ref.pts, n, slot, x, epsilon * epsilon, min_pts)
     ref.pts[slot] = x
     outlier = cnt < min_pts
-    if (not outlier and not exact and first is not None
-            and scanned == len(first)):
+    if not outlier and scanned == len(first):
         # the first probe alone holds min_pts neighbors: vec and the
         # min_pts - 1 nearest points of the probe lie within the radius.
         # Row j of first was inserted at index - scanned + j
@@ -232,14 +205,16 @@ def assign(
     retained until x is stored.
 
     The reported neighbor_count is exact on a reservoir constructed with
-    exact_counts=True. On a decision-only reservoir it is a lower bound:
-    an inlier reports at least min_pts (counting stops once the density
-    threshold is confirmed), an outlier settled by a scan reports its exact
-    count, and an outlier on a reservoir holding fewer than min_pts points
-    reports 0, because no point is examined.
+    exact_counts=True, which counts before the insert; otherwise it is
+    assign_raw's lower bound (see the module docstring).
     """
-    outlier, cnt = assign_raw(np.asarray(x, dtype=np.float64).tolist(),
-                              ref, epsilon, min_pts)
+    x = np.asarray(x, dtype=np.float64)
+    if ref.exact_counts:
+        cnt = int(np.count_nonzero(
+            _sq_dists(ref.pts[:ref.size], x) <= epsilon * epsilon))
+        assign_raw(x.tolist(), ref, epsilon, min_pts)
+        return ClusterAssignment(cnt < min_pts, cnt)
+    outlier, cnt = assign_raw(x.tolist(), ref, epsilon, min_pts)
     return ClusterAssignment(outlier, cnt)
 
 
@@ -258,16 +233,6 @@ class BatchClustering:
         return [i for i, c in enumerate(self.labels) if c is None]
 
 
-def _pairwise_sq(points: np.ndarray, chunk: int = 128) -> np.ndarray:
-    n = points.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        diff = points[a:b, None, :] - points[None, :, :]
-        out[a:b] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
-
-
 def dbscan_batch(
     points: np.ndarray,
     epsilon: float,
@@ -284,10 +249,8 @@ def dbscan_batch(
     if n == 0:
         return BatchClustering(labels=[])
 
-    d2 = _pairwise_sq(arr)
-    adj = d2 <= epsilon * epsilon
-    degrees = adj.sum(axis=1)
-    core = degrees >= min_pts
+    adj = np.array([_sq_dists(arr, p) <= epsilon * epsilon for p in arr])
+    core = adj.sum(axis=1) >= min_pts
 
     labels: list[int | None] = [None] * n
     visited = np.zeros(n, dtype=bool)

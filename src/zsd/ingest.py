@@ -175,9 +175,6 @@ class EventStream:
             return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
         return open(self.source, "r", encoding="utf-8")
 
-    def __iter__(self) -> Iterator[Event]:
-        return read_stream(self)
-
 
 def read_stream(stream: EventStream) -> Iterator[Event]:
     """Yield events from the stream in input order.

@@ -335,6 +335,8 @@ def load_model(path: str) -> ScorerModel:
         raise ModelFormatError(f"bad header {lines[0]!r}") from None
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported version {head[1]}")
+    if hidden < 1 or inputs < 1:
+        raise ModelFormatError(f"bad header {lines[0]!r}: sizes must be >= 1")
     expected = hidden + hidden + 1 + 1 + 1
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != expected:

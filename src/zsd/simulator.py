@@ -39,13 +39,13 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
-from .types import ConfigError, Event, EventKind, Truth
+from .types import ConfigError, Event, EventKind, Truth, ZsdError
 
 FILETYPES = ("docx", "xlsx", "pdf", "jpg", "exe")
 
@@ -128,6 +128,10 @@ class FamilyProfile:
     rename_to_ext: str
 
     def validate(self) -> "FamilyProfile":
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise ConfigError(f"{f.name}: must be a finite number")
         if self.files_per_sec <= 0:
             raise ConfigError("files_per_sec: must be > 0")
         if not (0.0 <= self.obfuscation <= 1.0):
@@ -144,8 +148,8 @@ class FamilyProfile:
         for ext, w in self.filetype_mix.items():
             if ext not in FILETYPES:
                 raise ConfigError(f"filetype_mix: unknown filetype {ext!r}")
-            if w < 0:
-                raise ConfigError("filetype_mix: weights must be >= 0")
+            if not (isinstance(w, (int, float)) and 0 <= w < math.inf):
+                raise ConfigError("filetype_mix: weights must be finite numbers >= 0")
             total += w
         if total <= 0:
             raise ConfigError("filetype_mix: weights must sum > 0")
@@ -166,8 +170,8 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> "Scenario":
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s: must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("duration_s: must be finite and > 0")
         for kind, count in self.benign_workers.items():
             if kind not in ("office", "build", "backup"):
                 raise ConfigError(f"benign_workers: unknown archetype {kind!r}")
@@ -175,7 +179,7 @@ class Scenario:
                 raise ConfigError("benign_workers: counts must be >= 0")
         for atk in self.attacks:
             atk.profile.validate()
-            if atk.start_s < 0:
+            if not atk.start_s >= 0:
                 raise ConfigError("attacks: start_s must be >= 0")
         return self
 
@@ -187,35 +191,52 @@ def load_presets() -> dict[str, dict]:
     return json.loads(text)
 
 
-def profile_from_name(
-    family: str, overrides: dict | None = None, presets: dict | None = None
-) -> FamilyProfile:
-    presets = presets if presets is not None else load_presets()
-    if family not in presets:
+def _field(key: str, kind, value):
+    """kind(value) for a manifest field, or a ConfigError naming key. A dict
+    or list field must already be one (and is copied); a number is converted."""
+    try:
+        if type(value) is kind or kind not in (dict, list):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key}: bad value {value!r}")
+
+
+def _profile(name: str, data: dict) -> FamilyProfile:
+    odd = sorted(set(data) ^ ({f.name for f in fields(FamilyProfile)} - {"name"}))
+    if odd:
+        raise ConfigError(f"{name}: {'unknown' if odd[0] in data else 'missing'} key {odd[0]!r}")
+    data["filetype_mix"] = _field("filetype_mix", dict, data["filetype_mix"])
+    return FamilyProfile(name=name, **data).validate()
+
+
+def profile_from_name(family: str, overrides: dict | None = None) -> FamilyProfile:
+    presets = load_presets()
+    if type(family) is not str or family not in presets:
         raise ConfigError(f"unknown family {family!r}")
-    data = dict(presets[family])
-    data.update(overrides or {})
-    data["filetype_mix"] = dict(data["filetype_mix"])
-    return FamilyProfile(name=family, **data).validate()
+    return _profile(family, presets[family] | _field("overrides", dict, overrides or {}))
 
 
-def scenario_from_mapping(data: dict, presets: dict | None = None) -> Scenario:
+def scenario_from_mapping(data: dict) -> Scenario:
+    """A validated Scenario from a manifest; a bad field is a ConfigError naming it."""
+    data = _field("scenario", dict, data)
     attacks = []
-    for entry in data.get("attacks", []):
+    for entry in _field("attacks", list, data.get("attacks", [])):
+        entry = _field("attacks", dict, entry)
         if "profile" in entry:
-            pd = dict(entry["profile"])
-            name = pd.pop("name", "custom")
-            prof = FamilyProfile(name=name, **pd).validate()
+            pd = _field("profile", dict, entry["profile"])
+            prof = _profile(pd.pop("name", "custom"), pd)
         else:
-            prof = profile_from_name(
-                entry["family"], entry.get("overrides"), presets=presets
-            )
-        attacks.append(AttackSpec(profile=prof, start_s=float(entry.get("start_s", 0.0))))
+            prof = profile_from_name(entry.get("family"), entry.get("overrides"))
+        attacks.append(AttackSpec(
+            profile=prof, start_s=_field("start_s", float, entry.get("start_s", 0.0))))
+    workers = _field("benign_workers", dict, data.get("benign_workers", {}))
     return Scenario(
-        duration_s=float(data["duration_s"]),
-        benign_workers={k: int(v) for k, v in data.get("benign_workers", {}).items()},
+        duration_s=_field("duration_s", float, data.get("duration_s")),
+        benign_workers={k: _field(f"benign_workers.{k}", int, v)
+                        for k, v in workers.items()},
         attacks=attacks,
-        seed=int(data.get("seed", 0)),
+        seed=_field("seed", int, data.get("seed", 0)),
     ).validate()
 
 
@@ -594,14 +615,20 @@ class TruthIndex:
         return json.dumps({"entities": self.entities}, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "TruthIndex":
-        data = json.loads(text)
-        return cls(entities=data["entities"])
-
-    @classmethod
     def load(cls, path: str | Path) -> "TruthIndex":
+        """Read a truth file; a malformed one is a ZsdError that names it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ZsdError(f"{path}: {exc}") from None
+        entities = data.get("entities") if isinstance(data, dict) else None
+        if not isinstance(entities, dict) or not all(
+                isinstance(info, dict) and "label" in info
+                and type(info.get("first_malicious_ts", 0)) is int for info in entities.values()):
+            raise ZsdError(f'{path}: expected {{"entities": {{name: {{"label": ..., '
+                           f'"first_malicious_ts": int}}}}}}')
+        return cls(entities=entities)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -97,7 +97,6 @@ def _load_suite(suite_dir: Path) -> dict:
 def run_suite(
     suite_dir: str | Path,
     seeds: list[int] | None = None,
-    train_config: TrainConfig | None = None,
     keep_streams: bool = True,
 ) -> SuiteResult:
     """Run a generated suite end to end; returns rows, summary, stats."""
@@ -109,7 +108,7 @@ def run_suite(
     cfg = config_from_mapping(doc.get("config_overrides") or {})
     # a compact scorer generalizes the telltales instead of memorizing
     # residual cadence quirks; the big default is for standalone training
-    tcfg = train_config or TrainConfig(epochs=10, hidden=16)
+    tcfg = TrainConfig(epochs=10, hidden=16)
 
     model_path = suite_dir / "model.zsd"
     if model_path.exists():

@@ -155,13 +155,18 @@ class Verdict:
 
     @classmethod
     def from_json_line(cls, line: str) -> "Verdict":
+        """Parse one verdict line; a malformed one raises ValueError."""
         d = json.loads(line)
+        if not (isinstance(d, dict) and type(d.get("event_ts")) is int
+                and type(d.get("decided_ts")) is int
+                and type(d.get("entity")) is str and "score" in d):
+            raise ValueError("expected integer event_ts and decided_ts, a string entity, a score")
         return cls(
             event_ts=d["event_ts"],
             entity=d["entity"],
-            label=Label(d["label"]),
+            label=Label(d.get("label")),
             score=d["score"],
-            phase=Phase(d["phase"]),
+            phase=Phase(d.get("phase")),
             decided_ts=d["decided_ts"],
         )
 

@@ -258,6 +258,51 @@ def test_eval_join_error_exits_2(workdir, simulated, model_path, tmp_path, capsy
     assert capsys.readouterr().err.startswith("zsd eval: verdict references unknown entity")
 
 
+@pytest.mark.parametrize("verdict_line, truth_text, named", [
+    ('{"event_ts":1}', None, "line 2"),
+    ("nope", None, "line 2"),
+    (None, "[]", "truth.json"),
+    (None, '{"entities": {"a": {"label": "malicious", "first_malicious_ts": "x"}}}',
+     "truth.json"),
+])
+def test_eval_bad_verdicts_or_truth_exit_2(tmp_path, capsys, verdict_line,
+                                           truth_text, named):
+    good = ('{"event_ts":1,"entity":"a","label":"benign","score":0.1,'
+            '"phase":"scored","decided_ts":1}')
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text(good + "\n" + (verdict_line or good) + "\n", encoding="utf-8")
+    truth = tmp_path / "truth.json"
+    truth.write_text(truth_text or '{"entities": {"a": {"label": "benign"}}}',
+                     encoding="utf-8")
+    rc = main(["eval", "--verdicts", str(verdicts), "--truth", str(truth),
+               "-o", str(tmp_path / "rep.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zsd eval: ") and named in err
+
+
+@pytest.mark.parametrize("manifest, key", [
+    ({}, "duration_s"),
+    ({"duration_s": "x"}, "duration_s"),
+    ({"duration_s": 10, "benign_workers": {"office": "a"}}, "office"),
+    ({"duration_s": 10,
+      "attacks": [{"family": "lockbit", "overrides": {"bogus": 1}}]}, "bogus"),
+    ([1], "scenario"),
+    ({"duration_s": float("nan")}, "duration_s"),
+    ({"duration_s": 10, "attacks": [
+        {"family": "lockbit", "overrides": {"files_per_sec": float("nan")}}]},
+     "files_per_sec"),
+])
+def test_bad_scenario_manifest_exits_2(tmp_path, capsys, manifest, key):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    rc = main(["simulate", "--scenario", str(path), "-o", str(tmp_path / "e.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zsd simulate: ") and key in err
+    assert not (tmp_path / "e.jsonl").exists()
+
+
 def test_missing_model_exits_2(tmp_path):
     rc = main(["detect", "--model", str(tmp_path / "nope.zsd"),
                "--input", str(tmp_path / "nope.jsonl"),
@@ -293,6 +338,18 @@ def test_model_of_the_wrong_width_exits_2_before_reading_input(
     err = capsys.readouterr().err
     assert "5 inputs" in err and "12" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ["ZSDMODEL 1 0 12", "ZSDMODEL 1 -2 12",
+                                    "ZSDMODEL 1 4 0"])
+def test_model_sizes_below_one_exit_2(workdir, simulated, tmp_path, capsys, header):
+    events, _ = simulated
+    bad = tmp_path / "empty.zsd"
+    bad.write_text(header + "\n0\n0\n0\n", encoding="utf-8")
+    rc = main(["detect", "--model", str(bad), "--input", str(events),
+               "-o", str(tmp_path / "v.jsonl")])
+    assert rc == 2
+    assert "sizes must be >= 1" in capsys.readouterr().err
 
 
 def test_detect_stats_count_gate_scans(workdir, simulated, model_path, tmp_path):

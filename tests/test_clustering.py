@@ -238,6 +238,47 @@ def test_decision_only_reservoir_matches_brute_force_across_wraps():
         retained = (retained + [p])[-100:]
 
 
+@pytest.mark.parametrize("capacity", [40, 100])
+def test_exact_reservoir_matches_brute_force_across_wraps(capacity):
+    # the oracle counts every retained point, the one about to be evicted
+    # included, on a ring that wraps several times
+    rng = np.random.default_rng(12)
+    ref = ReferenceSet(capacity, exact_counts=True)
+    retained = []
+    center = np.full(12, 0.4)
+    for i in range(6 * capacity):
+        if i % 97 == 0:
+            center = rng.random(12)
+        p = np.clip(center + 0.05 * rng.standard_normal(12), 0, 1)
+        if i % 13 == 0:
+            p = rng.random(12)
+        expected = brute_neighbor_count(p, retained)
+        a = assign(p, ref, EPS, MIN_PTS)
+        assert (a.outlier, a.neighbor_count) == (expected < MIN_PTS, expected)
+        retained = (retained + [p])[-capacity:]
+
+
+def test_inlier_older_than_the_first_probe_counts_the_whole_reservoir():
+    # twelve points 0.15 from c along each axis, then _FIRST_PROBE outliers
+    # far away: the shortcut declines c, the first probe holds none of its
+    # neighbors, and the whole-reservoir count finds all twelve. A scan
+    # that confirms density after the first probe leaves the anchor alone
+    c = np.full(12, 0.5)
+    axes = np.eye(12)
+    ref = ReferenceSet(100)
+    for k in range(12):
+        assign(c + 0.15 * axes[k], ref, EPS, MIN_PTS)
+    for k in range(_FIRST_PROBE):
+        assert assign(c + (2.0 + k) * axes[0], ref, EPS, MIN_PTS).outlier
+    anchor, radius, oldest = ref._anchor, ref._radius, ref._oldest
+    scans = ref.scans
+    a = assign(c, ref, EPS, MIN_PTS)
+    assert not a.outlier
+    assert a.neighbor_count == 12
+    assert ref.scans == scans + 1
+    assert (ref._anchor, ref._radius, ref._oldest) == (anchor, radius, oldest)
+
+
 def test_reservoir_below_min_pts_decides_without_a_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned a reservoir holding fewer than min_pts points")
