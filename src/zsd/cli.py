@@ -18,20 +18,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ensemble import ContractError
-from .ingest import EventStream, ParseError, SchemaError, read_stream
+from .ingest import EventStream, read_stream
 from .pipeline import run_detection
-from .scorer import (
-    DegenerateDataError,
-    DimensionError,
-    ModelFormatError,
-    ScorerModel,
-    TrainConfig,
-    load_model,
-    save_model,
-)
+from .scorer import DimensionError, ScorerModel, TrainConfig, load_model, save_model
 from .types import (
     FEATURE_COUNT,
-    ConfigError,
     PipelineConfig,
     Verdict,
     ZsdError,
@@ -72,14 +63,17 @@ def _setup_logging() -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _seed_list(text: str) -> list[int]:
@@ -130,8 +124,8 @@ def _build_parser() -> _Parser:
     ev.add_argument("-o", "--output", required=True, help="eval report JSON")
 
     be = sub.add_parser("bench", help="measure throughput on a synthetic load")
-    be.add_argument("--events", type=_positive_int, required=True)
-    be.add_argument("--seed", type=int, default=1)
+    be.add_argument("--events", type=_int_at_least(1), required=True)
+    be.add_argument("--seed", type=_int_at_least(0), default=1)
     be.add_argument("--config", default=None)
 
     sw = sub.add_parser("sweep", help="run a full experiment suite")
@@ -330,17 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (ConfigError, SchemaError, ParseError, ModelFormatError,
-            DegenerateDataError) as exc:
-        print(f"zsd {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"zsd {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ContractError as exc:
         print(f"zsd {args.command}: internal contract violation: {exc}", file=sys.stderr)
         raise
-    except ZsdError as exc:
+    except (ZsdError, FileNotFoundError) as exc:
         print(f"zsd {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -103,12 +103,11 @@ class ReferenceSet:
     settled by a bound.
     """
 
-    __slots__ = ("capacity", "size", "inserted", "scans", "pts",
+    __slots__ = ("capacity", "inserted", "scans", "pts",
                  "exact_counts", "_anchor", "_radius", "_oldest")
 
     def __init__(self, capacity: int, exact_counts: bool = False):
         self.capacity = capacity
-        self.size = 0
         self.inserted = 0  # vectors ever inserted; the next one's index
         self.scans = 0
         self.pts = np.empty((min(capacity, _FIRST_ROWS), FEATURE_COUNT),
@@ -121,6 +120,11 @@ class ReferenceSet:
         self._anchor: list[float] | None = None
         self._radius = 0.0
         self._oldest = 0
+
+    @property
+    def size(self) -> int:
+        """Vectors retained: every one inserted, up to capacity."""
+        return min(self.inserted, self.capacity)
 
     def __len__(self) -> int:
         return self.size
@@ -147,15 +151,14 @@ def assign_raw(
     the caller must not change it afterwards. A reservoir is used with one
     min_pts: its anchor's radius covers that many points.
     """
-    n = ref.size
     index = ref.inserted
     capacity = ref.capacity
-    if n < capacity:
-        slot = n
-        ref.size = n + 1
+    if index < capacity:
+        n = slot = index
         if n == len(ref.pts):
             ref._grow()
     else:
+        n = capacity
         slot = index % capacity
     ref.inserted = index + 1
 

@@ -6,6 +6,10 @@ normalizes rates. Aggregates are maintained incrementally but exactly
 extraction is O(1) per event and a window's vector depends only on the
 window contents, never on the append/evict history that produced them.
 
+The window keeps per-kind counts, entropy sums, sent bytes, the sum of
+squared inter-event gaps and per-path tallies. ``extract_values`` derives
+the gaps' sum and number from the window's ends: the gaps telescope.
+
 Component layout (raw value -> squash):
    1 write_rate          file_write count / span             r/(r+20)
    2 mean_write_entropy  mean entropy of writes carrying it  /8
@@ -33,8 +37,9 @@ from .types import Event, EventKind, FeatureVector
 # exactly (at most 1074, which covers every positive double). Every value is
 # then an exact integer, so the sums are exact and order-independent, and a
 # mean is one correctly rounded int/int division of the same rational at
-# any scale. The scale never falls, so an evicted value is recomputed at the
-# current scale: every rescale shifted its share of the sum by as much.
+# any scale. The scale never falls, so an evicted value, converted when it
+# arrived, is recomputed at the current scale without raising it: every
+# rescale shifted its share of the sum by as much.
 _FP_START_BITS = 64
 
 _K_WRITE = EventKind.FILE_WRITE
@@ -70,10 +75,10 @@ class EntityWindow:
 
     __slots__ = (
         "entity", "capacity", "events", "seq",
-        "n_writes", "n_reads", "n_renames", "n_renames_ext", "n_deletes",
+        "n_writes", "n_renames", "n_renames_ext", "n_deletes",
         "n_connects", "n_priv",
         "went_sum", "went_count", "rent_sum", "rent_count", "fp_bits",
-        "send_bytes", "gap_sum", "gap_sumsq", "n_gaps",
+        "send_bytes", "gap_sumsq",
         "paths", "written_paths", "read_then_written",
         "_went_mean", "_rent_mean",
     )
@@ -84,7 +89,6 @@ class EntityWindow:
         self.events: deque[Event] = deque()
         self.seq = 0
         self.n_writes = 0
-        self.n_reads = 0
         self.n_renames = 0
         self.n_renames_ext = 0
         self.n_deletes = 0
@@ -96,18 +100,13 @@ class EntityWindow:
         self.rent_count = 0
         self.fp_bits = _FP_START_BITS
         self.send_bytes = 0
-        self.gap_sum = 0
         self.gap_sumsq = 0
-        self.n_gaps = 0
         self.paths: dict[str, _PathTrack] = {}
         self.written_paths = 0
         self.read_then_written = 0
         # memoized means; None marks them stale (pure in the aggregates)
         self._went_mean: float | None = 0.0
         self._rent_mean: float | None = 0.0
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def append(self, event: Event) -> int:
         """Add one event (evicting the oldest when full); returns its seq id."""
@@ -119,18 +118,15 @@ class EntityWindow:
                 old = events.popleft()
                 if events:
                     old_gap = events[0].ts - old.ts
-                    self.gap_sum += gap - old_gap
                     self.gap_sumsq += gap * gap - old_gap * old_gap
                 self._remove(old)
             else:
-                self.gap_sum += gap
                 self.gap_sumsq += gap * gap
-                self.n_gaps += 1
         events.append(event)
         self._add(event)
         return self.seq
 
-    def _fixed_raising_scale(self, x: float) -> int:
+    def _fixed(self, x: float) -> int:
         """x * 2**fp_bits as an exact integer, raising the scale if x needs
         it. A rescale shifts the sums too, so add the result to a sum after
         the call."""
@@ -143,18 +139,12 @@ class EntityWindow:
             shift = 0
         return p << shift
 
-    def _fixed(self, x: float) -> int:
-        """x * 2**fp_bits for an x in the window, whose scale covers it."""
-        p, q = x.as_integer_ratio()
-        return p << (self.fp_bits - (q.bit_length() - 1))
-
     def _add(self, event: Event) -> None:
         kind = event.kind
         if kind is _K_READ:
-            self.n_reads += 1
             entropy = event.entropy
             if entropy is not None:
-                fp = self._fixed_raising_scale(entropy)
+                fp = self._fixed(entropy)
                 self.rent_sum += fp
                 self.rent_count += 1
                 self._rent_mean = None
@@ -162,7 +152,7 @@ class EntityWindow:
             self.n_writes += 1
             entropy = event.entropy
             if entropy is not None:
-                fp = self._fixed_raising_scale(entropy)
+                fp = self._fixed(entropy)
                 self.went_sum += fp
                 self.went_count += 1
                 self._went_mean = None
@@ -203,15 +193,16 @@ class EntityWindow:
     def _remove(self, event: Event) -> None:
         kind = event.kind
         if kind is _K_READ:
-            self.n_reads -= 1
             if event.entropy is not None:
-                self.rent_sum -= self._fixed(event.entropy)
+                fp = self._fixed(event.entropy)
+                self.rent_sum -= fp
                 self.rent_count -= 1
                 self._rent_mean = None
         elif kind is _K_WRITE:
             self.n_writes -= 1
             if event.entropy is not None:
-                self.went_sum -= self._fixed(event.entropy)
+                fp = self._fixed(event.entropy)
+                self.went_sum -= fp
                 self.went_count -= 1
                 self._went_mean = None
         elif kind is _K_RENAME:
@@ -254,7 +245,8 @@ class EntityWindow:
 def extract_values(window: EntityWindow) -> list[float]:
     """Compute the 12 squashed components for the window's current contents."""
     events = window.events
-    span = (events[-1].ts - events[0].ts) / 1e6
+    span_us = events[-1].ts - events[0].ts
+    span = span_us / 1e6
     if span < 0.001:
         span = 0.001
 
@@ -305,11 +297,10 @@ def extract_values(window: EntityWindow) -> list[float]:
 
     f11 = 1.0 if window.n_priv else 0.0
 
-    n_gaps = window.n_gaps
-    gap_sum = window.gap_sum
-    if n_gaps >= 2 and gap_sum > 0:
-        var_num = n_gaps * window.gap_sumsq - gap_sum * gap_sum
-        v = var_num / (n_gaps * gap_sum)
+    n_gaps = len(events) - 1
+    if n_gaps >= 2 and span_us > 0:
+        var_num = n_gaps * window.gap_sumsq - span_us * span_us
+        v = var_num / (n_gaps * span_us)
         f12 = v / (v + 1e6)
     else:
         f12 = 0.0

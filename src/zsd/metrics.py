@@ -14,7 +14,7 @@ records: excluded from the latency mean, counted in ``misses``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .simulator import TruthIndex
@@ -64,31 +64,7 @@ class EvalReport:
     misses: int = 0
 
     def to_json(self) -> str:
-        doc = {
-            "confusion": {
-                "tp": self.confusion.tp, "fp": self.confusion.fp,
-                "tn": self.confusion.tn, "fn": self.confusion.fn,
-            },
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "detection_rate": self.detection_rate,
-            "per_family": self.per_family,
-            "mean_latency_ms": self.mean_latency_ms,
-            "misses": self.misses,
-            "latency": [
-                {
-                    "entity": r.entity,
-                    "family": r.family,
-                    "first_malicious_ts": r.first_malicious_ts,
-                    "first_malicious_verdict_ts": r.first_malicious_verdict_ts,
-                    "latency_ms": r.latency_ms,
-                }
-                for r in self.latency
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def score_run(verdicts: Iterable[Verdict], truth: TruthIndex) -> EvalReport:

@@ -54,8 +54,14 @@ class ScorerModel:
     bh: np.ndarray   # (H,)
     wo: np.ndarray   # (H,)
     bo: float
-    hidden: int
-    inputs: int = FEATURE_COUNT
+
+    @property
+    def hidden(self) -> int:
+        return self.Wx.shape[0]
+
+    @property
+    def inputs(self) -> int:
+        return self.Wx.shape[1]
 
     @classmethod
     def zeros(cls, hidden: int, inputs: int = FEATURE_COUNT) -> "ScorerModel":
@@ -65,8 +71,6 @@ class ScorerModel:
             bh=np.zeros(hidden),
             wo=np.zeros(hidden),
             bo=0.0,
-            hidden=hidden,
-            inputs=inputs,
         )
 
     @classmethod
@@ -80,15 +84,11 @@ class ScorerModel:
             bh=rng.uniform(-scale, scale, hidden),
             wo=rng.uniform(-scale, scale, hidden),
             bo=float(rng.uniform(-scale, scale)),
-            hidden=hidden,
-            inputs=inputs,
         )
 
     def copy(self) -> "ScorerModel":
-        return ScorerModel(
-            Wx=self.Wx.copy(), Wh=self.Wh.copy(), bh=self.bh.copy(),
-            wo=self.wo.copy(), bo=self.bo, hidden=self.hidden, inputs=self.inputs,
-        )
+        return ScorerModel(Wx=self.Wx.copy(), Wh=self.Wh.copy(), bh=self.bh.copy(),
+                           wo=self.wo.copy(), bo=self.bo)
 
 
 @dataclass
@@ -149,9 +149,9 @@ def forward(model: ScorerModel, seq: np.ndarray,
     With ``prefix``, the recurrence resumes after ``prefix.rows`` rows when
     ``seq`` holds at least that many, and the record then advances to the
     whole of ``seq``. The score equals the fresh one bit for bit."""
-    xs = _seq_matrix(seq, model.inputs)
-    xw = xs.dot(model.Wx.T)
-    T = len(xw)
+    Wx = model.Wx
+    xw = _seq_matrix(seq, Wx.shape[1]).dot(Wx.T)
+    T, H = xw.shape
     if prefix is not None and 0 < prefix.rows <= T:
         h = prefix.h
         pre = xw[prefix.rows:] + model.bh
@@ -164,7 +164,7 @@ def forward(model: ScorerModel, seq: np.ndarray,
     tanh = np.tanh
     for row in pre:
         h = tanh(row + step(h))
-    if prefix is not None and T > 1 and model.hidden > 1:
+    if prefix is not None and T > 1 and H > 1:
         prefix.h = h
         prefix.rows = T
     return _sigmoid(float(model.wo.dot(h)) + model.bo)
@@ -302,8 +302,18 @@ def train(
     return TrainResult(model=model, epoch_losses=trace)
 
 
+class ModelFormatError(ZsdError):
+    """Model file is missing, truncated, or malformed."""
+
+
 def save_model(model: ScorerModel, path: str) -> None:
-    """Versioned text format; 17 significant digits round-trips float64 exactly."""
+    """Versioned text format; 17 significant digits round-trips float64 exactly.
+    A non-finite parameter, which load_model refuses, raises before any write."""
+    for name in ("Wx", "Wh", "bh", "wo", "bo"):
+        vals = np.asarray(getattr(model, name))
+        bad = vals[~np.isfinite(vals)]
+        if len(bad):
+            raise ModelFormatError(f"{name}: non-finite parameter {bad[0]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION} {model.hidden} {model.inputs}\n")
         def row(vals) -> str:
@@ -315,10 +325,6 @@ def save_model(model: ScorerModel, path: str) -> None:
         fh.write(row(model.bh) + "\n")
         fh.write(row(model.wo) + "\n")
         fh.write(f"{model.bo:.17g}\n")
-
-
-class ModelFormatError(ZsdError):
-    """Model file is missing, truncated, or malformed."""
 
 
 def load_model(path: str) -> ScorerModel:
@@ -359,4 +365,4 @@ def load_model(path: str) -> ScorerModel:
     bh = parse_row(body[idx], hidden); idx += 1
     wo = parse_row(body[idx], hidden); idx += 1
     bo = float(parse_row(body[idx], 1)[0])
-    return ScorerModel(Wx=Wx, Wh=Wh, bh=bh, wo=wo, bo=bo, hidden=hidden, inputs=inputs)
+    return ScorerModel(Wx=Wx, Wh=Wh, bh=bh, wo=wo, bo=bo)

@@ -7,7 +7,7 @@ so they can be passed freely between pipeline stages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
@@ -220,30 +220,26 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
     return cfg
 
 
-_INT_FIELDS = {
-    "min_pts", "reeval_window", "smooth_m", "smooth_window", "seq_len",
-    "window_events", "reference_capacity",
-}
-_FLOAT_FIELDS = {"epsilon", "tau", "delta"}
-_ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS
+# field name -> its annotation, "int" or "float" (annotations are strings here)
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def _coerce(key: str, value: Any) -> Any:
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ConfigError(f"{key}: expected integer, got {value!r}")
+    is_int = _FIELD_TYPES[key] == "int"
+    # a bool is an int to Python, but never a config value
+    if not isinstance(value, bool):
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected integer, got {value!r}") from None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected number, got {value!r}") from None
+            if not is_int:
+                return float(value)
+            if isinstance(value, (int, str)):
+                return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key}: expected {'integer' if is_int else 'number'}, got {value!r}")
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> PipelineConfig:
-    unknown = sorted(set(data) - _ALL_FIELDS)
+    unknown = sorted(set(data) - _FIELD_TYPES.keys())
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]}")
     kwargs = {k: _coerce(k, v) for k, v in data.items()}

@@ -407,6 +407,18 @@ def test_train_setting_out_of_range_exits_2(simulated, tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_that_diverges_exits_2_and_writes_no_model(simulated, tmp_path, capsys):
+    # an infinite step turns the parameters to nan, which load_model refuses
+    events, _ = simulated
+    out = tmp_path / "m.zsd"
+    rc = main(["train", "--data", str(events), "-o", str(out), "--lr", "inf",
+               "--epochs", "1", "--hidden", "4", "--max-per-class", "50"])
+    assert rc == 2
+    assert "Wx: non-finite parameter nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_prints_stats(capsys):
     rc = main(["bench", "--events", "3000"])
     assert rc == 0
@@ -415,10 +427,11 @@ def test_bench_prints_stats(capsys):
     assert doc["throughput_eps"] > 0
 
 
-@pytest.mark.parametrize("count", ["0", "-5"])
-def test_bench_event_count_below_one_is_a_usage_error(count, capsys):
+@pytest.mark.parametrize("args", [["--events", "0"], ["--events", "-5"],
+                                  ["--events", "3000", "--seed", "-1"]])
+def test_bench_event_count_below_one_or_negative_seed_is_a_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--events", count])
+        main(["bench", *args])
     assert exc.value.code == 1
     assert capsys.readouterr().out == ""
 

@@ -160,6 +160,18 @@ class TestExactness:
             want = self._brute_force(list(w.events))
             assert got == want, f"mismatch at event {i}"
 
+    def test_out_of_order_timestamps_match_brute_force_bit_exactly(self):
+        # negative gaps, with evictions: the gap sum comes from the window's
+        # ends, so it must telescope whatever the gaps' signs
+        rng = random.Random(17)
+        w = EntityWindow("e", 24)
+        ts = 10_000_000
+        for i in range(300):
+            ts += rng.randrange(-1_500_000, 2_000_000)
+            w.append(self._random_event(rng, ts))
+            got = extract_values(w)
+            assert got == self._brute_force(list(w.events)), f"mismatch at event {i}"
+
     def test_tiny_entropies_raise_the_scale_exactly(self):
         # values needing up to 1074 fraction bits (subnormals included)
         # arrive after the sums are under way; the means must stay exact

@@ -550,3 +550,39 @@ def test_verdict_bytes_are_pinned():
     }
     assert digests == PINNED_VERDICT_SHA256
     assert {v.phase for verdicts in runs.values() for v in verdicts} == set(Phase)
+
+
+# sha256 of the verdict file `zsd detect` writes for each perfbench workload
+# at seed 1 with perfbench/model.zsd: the figures every refactor is checked
+# against on the benchmark's own inputs
+PINNED_PERFBENCH_SHA256 = {
+    "hot-entity": "8ec556e109bb52900816cc9d2927671a04675b62fc5e016c8a185e3b62cdd422",
+    "fleet-attack": "9f9a8020e5d1470caa9d8f25fcdf4740a7fb92bee396bc7c712c171b1e008eaa",
+    "churn": "af1244a3101d8b910547fde3ca1b9330c61247acd75b90f2fb6f23fe0086bbd2",
+}
+
+
+def test_perfbench_verdict_bytes_are_pinned():
+    import importlib.util
+    from pathlib import Path
+
+    from zsd.ingest import parse_event_line
+    from zsd.scorer import load_model
+    from zsd.simulator import event_to_json_line
+
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", bench_dir / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    model = load_model(str(bench_dir / "model.zsd"))
+    cfg = validate_config(PipelineConfig())
+    digests = {}
+    for name, make in workloads.WORKLOADS.items():
+        # the round trip through the wire format rounds entropies to the
+        # 6 decimals of the file that `zsd detect` reads
+        events = [parse_event_line(event_to_json_line(e)) for e in make(1)[0]]
+        verdicts, _ = run_detection(events, model, cfg)
+        digests[name] = hashlib.sha256(
+            "".join(v.to_json_line() + "\n" for v in verdicts).encode()).hexdigest()
+    assert digests == PINNED_PERFBENCH_SHA256

@@ -62,6 +62,15 @@ def test_bound_violations_name_the_field(field, value):
         validate_config(PipelineConfig(**{field: value}))
 
 
+@pytest.mark.parametrize("field,value,expected", [
+    ("min_pts", True, "integer"), ("seq_len", 2.5, "integer"),
+    ("epsilon", True, "number"), ("tau", False, "number"), ("delta", None, "number"),
+])
+def test_mistyped_values_name_the_field(field, value, expected):
+    with pytest.raises(ConfigError, match=f"{field}: expected {expected}"):
+        config_from_mapping({field: value})
+
+
 def test_smooth_window_must_cover_smooth_m():
     with pytest.raises(ConfigError, match="smooth_window"):
         validate_config(PipelineConfig(smooth_m=4, smooth_window=3))
