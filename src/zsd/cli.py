@@ -28,6 +28,7 @@ from .types import (
     ZsdError,
     load_config,
     validate_config,
+    write_verdicts,
 )
 
 if TYPE_CHECKING:
@@ -226,10 +227,7 @@ def _cmd_detect(args) -> int:
     stats.lines_skipped = stream.skipped_count
     stats.ts_out_of_order = stream.monotonicity_warnings
 
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(v.to_json_line())
-            fh.write("\n")
+    write_verdicts(verdicts, args.output)
     if args.stats_out:
         with open(args.stats_out, "w", encoding="utf-8") as fh:
             fh.write(stats.to_json())

@@ -14,7 +14,7 @@ records: excluded from the latency mean, counted in ``misses``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .simulator import TruthIndex
@@ -167,12 +167,6 @@ def trend_sign(slope: float, tol: float = 1e-12) -> str:
     return "flat"
 
 
-SWEEP_CSV_HEADER = (
-    "sweep_param,sweep_value,family,detection_rate,fpr,precision,recall,f1,"
-    "mean_latency_ms,misses"
-)
-
-
 @dataclass
 class SweepRow:
     """One aggregated sweep point: mean metrics over that point's reports."""
@@ -190,11 +184,14 @@ class SweepRow:
 
     def csv(self) -> str:
         lat = f"{self.mean_latency_ms:.3f}" if self.mean_latency_ms is not None else ""
-        return (
-            f"{self.sweep_param},{self.sweep_value},{self.family},"
-            f"{self.detection_rate:.6f},{self.fpr:.6f},{self.precision:.6f},"
-            f"{self.recall:.6f},{self.f1:.6f},{lat},{self.misses}"
-        )
+        means = ",".join(f"{getattr(self, name):.6f}" for name in AVERAGED)
+        return f"{self.sweep_param},{self.sweep_value},{self.family},{means},{lat},{self.misses}"
+
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+# the EvalReport metrics a sweep point averages over its runs: the row's
+# plain float fields, in column order
+AVERAGED = tuple(f.name for f in fields(SweepRow) if f.type == "float")
 
 
 def aggregate_point(
@@ -202,21 +199,10 @@ def aggregate_point(
 ) -> SweepRow:
     if not reports:
         raise ValueError("sweep point with no reports")
-    det = sum(r.detection_rate for r in reports) / len(reports)
-    fpr = sum(r.fpr for r in reports) / len(reports)
-    precision = sum(r.precision for r in reports) / len(reports)
-    recall = sum(r.recall for r in reports) / len(reports)
-    f1 = sum(r.f1 for r in reports) / len(reports)
+    means = [sum(getattr(r, name) for r in reports) / len(reports) for name in AVERAGED]
     lats = [r.mean_latency_ms for r in reports if r.mean_latency_ms is not None]
     return SweepRow(
-        sweep_param=sweep_param,
-        sweep_value=sweep_value,
-        family=family,
-        detection_rate=det,
-        fpr=fpr,
-        precision=precision,
-        recall=recall,
-        f1=f1,
+        sweep_param, sweep_value, family, *means,
         mean_latency_ms=sum(lats) / len(lats) if lats else None,
         misses=sum(r.misses for r in reports),
     )

@@ -26,7 +26,7 @@ same parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,9 +86,10 @@ class ScorerModel:
             bo=float(rng.uniform(-scale, scale)),
         )
 
-    def copy(self) -> "ScorerModel":
-        return ScorerModel(Wx=self.Wx.copy(), Wh=self.Wh.copy(), bh=self.bh.copy(),
-                           wo=self.wo.copy(), bo=self.bo)
+
+# the parameters in declaration order, which is also their row order in a
+# model file
+PARAMS = tuple(f.name for f in fields(ScorerModel))
 
 
 @dataclass
@@ -178,33 +179,14 @@ def loss(score: float, label: int) -> float:
     return -math.log(1.0 - s)
 
 
-@dataclass
-class Gradient:
-    Wx: np.ndarray
-    Wh: np.ndarray
-    bh: np.ndarray
-    wo: np.ndarray
-    bo: float
-
-    def norm(self) -> float:
-        total = (
-            float(np.sum(self.Wx * self.Wx))
-            + float(np.sum(self.Wh * self.Wh))
-            + float(np.sum(self.bh * self.bh))
-            + float(np.sum(self.wo * self.wo))
-            + self.bo * self.bo
-        )
-        return math.sqrt(total)
-
-
 def grad(
     model: ScorerModel,
     seq: np.ndarray,
     label: int,
-) -> tuple[Gradient, float, float]:
+) -> tuple[ScorerModel, float, float]:
     """Exact gradient of loss(forward(seq), label) by backprop through time.
 
-    Returns (gradient, score, loss).
+    Returns (gradient, score, loss); the gradient has the model's shape.
     """
     xs = _seq_matrix(seq, model.inputs)
     T = xs.shape[0]
@@ -241,7 +223,7 @@ def grad(
         dWh += np.outer(dtanh, hs[t])
         dbh += dtanh
         dh = WhT @ dtanh
-    return Gradient(Wx=dWx, Wh=dWh, bh=dbh, wo=dwo, bo=dbo), s, ell
+    return ScorerModel(Wx=dWx, Wh=dWh, bh=dbh, wo=dwo, bo=dbo), s, ell
 
 
 @dataclass
@@ -289,15 +271,16 @@ def train(
         for i in order:
             g, _, ell = grad(model, seqs[i], ys[i])
             total += ell
-            gnorm = g.norm()
+            parts = [getattr(g, name) for name in PARAMS]
+            gnorm = math.sqrt(sum(float(np.sum(a * a)) for a in parts))
             scale = cfg.lr
             if gnorm > cfg.clip_norm:
                 scale = cfg.lr * (cfg.clip_norm / gnorm)
-            model.Wx -= scale * g.Wx
-            model.Wh -= scale * g.Wh
-            model.bh -= scale * g.bh
-            model.wo -= scale * g.wo
-            model.bo -= scale * g.bo
+            for name, part in zip(PARAMS, parts):
+                # in place for the arrays, as ``model.Wx -= ...`` would be
+                value = getattr(model, name)
+                value -= scale * part
+                setattr(model, name, value)
         trace.append(total / len(seqs))
     return TrainResult(model=model, epoch_losses=trace)
 
@@ -309,22 +292,17 @@ class ModelFormatError(ZsdError):
 def save_model(model: ScorerModel, path: str) -> None:
     """Versioned text format; 17 significant digits round-trips float64 exactly.
     A non-finite parameter, which load_model refuses, raises before any write."""
-    for name in ("Wx", "Wh", "bh", "wo", "bo"):
-        vals = np.asarray(getattr(model, name))
+    # one row per row of a matrix, one for a vector, one for the scalar
+    params = [np.atleast_2d(getattr(model, name)) for name in PARAMS]
+    for name, vals in zip(PARAMS, params):
         bad = vals[~np.isfinite(vals)]
         if len(bad):
             raise ModelFormatError(f"{name}: non-finite parameter {bad[0]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION} {model.hidden} {model.inputs}\n")
-        def row(vals) -> str:
-            return " ".join(f"{v:.17g}" for v in vals)
-        for r in model.Wx:
-            fh.write(row(r) + "\n")
-        for r in model.Wh:
-            fh.write(row(r) + "\n")
-        fh.write(row(model.bh) + "\n")
-        fh.write(row(model.wo) + "\n")
-        fh.write(f"{model.bo:.17g}\n")
+        for vals in params:
+            for r in vals:
+                fh.write(" ".join(f"{v:.17g}" for v in r) + "\n")
 
 
 def load_model(path: str) -> ScorerModel:

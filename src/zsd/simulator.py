@@ -777,7 +777,7 @@ def _scenario_doc(
     return {
         "duration_s": duration_s,
         "seed": seed,
-        "benign_workers": benign,
+        "benign_workers": dict(benign),
         "attacks": attacks,
     }
 
@@ -792,7 +792,7 @@ def _train_doc(seed: int = 101) -> dict:
     # probe, so it stays out of the training distribution
     return _scenario_doc(
         560.0,
-        dict(_BENIGN_STD),
+        _BENIGN_STD,
         [
             {"family": "lockbit", "start_s": 40.0, "overrides": {"obfuscation": 0.0}},
             {"family": "lockbit", "start_s": 120.0, "overrides": {"obfuscation": 0.25}},
@@ -806,6 +806,55 @@ def _train_doc(seed: int = 101) -> dict:
     )
 
 
+def _attacks(family: str, starts: tuple[float, ...], overrides: dict) -> list[dict]:
+    return [{"family": family, "start_s": start, "overrides": dict(overrides)}
+            for start in starts]
+
+
+def _standard_suites() -> dict[str, tuple]:
+    """Each suite as (sweep parameter, seeds, config overrides, points); a
+    point is (manifest name, sweep value, family, scenario document)."""
+    return {
+        # S1: per-family accuracy, fixed 10-minute scenarios
+        "s1": ("family", [1, 2, 3, 4, 5], {}, [
+            (f"{fam}.json", fam, fam,
+             _scenario_doc(600.0, _BENIGN_STD, [{"family": fam, "start_s": 240.0}]))
+            for fam in FAMILIES]),
+        # S2: detection by file type
+        "s2": ("filetype", [1, 2, 3], {}, [
+            (f"{fam}_{ft}.json", ft, fam,
+             _scenario_doc(240.0, _BENIGN_STD, [
+                 {"family": fam, "start_s": 90.0, "overrides": {"filetype_mix": {ft: 1.0}}}]))
+            for fam in FAMILIES for ft in FILETYPES]),
+        # S3: obfuscation sweep; within a family the manifests differ only in
+        # the obfuscation override (duty pinned so masking is the only moving
+        # part). The experiment raises the decision bar (tau, confirmations)
+        # so the detector operates on the sensitive shoulder of its curve.
+        "s3": ("obfuscation", [1, 2, 3, 4, 5], {"tau": 0.58, "smooth_m": 5}, [
+            (f"{fam}_obf{int(lvl * 100):03d}.json", lvl, fam,
+             _scenario_doc(300.0, _BENIGN_STD, _attacks(
+                 fam, (90.0, 120.0), {"obfuscation": lvl, "intermittent_duty": 1.0})))
+            for fam in ("lockbit", "conti", "revil")
+            for lvl in (0.0, 0.25, 0.5, 0.75, 1.0)]),
+        # S4: encryption-speed sweep spanning almost two decades. Obfuscation
+        # and duty are held constant across the sweep so the speed effects
+        # (partial encryption diluting payload entropy, ceremony and telemetry
+        # ceilings) are the only moving parts.
+        "s4": ("files_per_sec", [1, 2, 3, 4, 5], {}, [
+            (f"{fam}_fps{int(sp):03d}.json", sp, fam, _scenario_doc(
+                min(480.0, 120.0 + _VICTIM_CORPUS_FILES / sp), _BENIGN_STD,
+                _attacks(fam, (60.0, 75.0),
+                         {"files_per_sec": sp, "obfuscation": 0.4, "intermittent_duty": 1.0})))
+            for fam in ("lockbit", "blackmatter")
+            for sp in (4.0, 10.0, 25.0, 60.0, 140.0, 300.0)]),
+        # S5: benign load ladder for latency/throughput
+        "s5": ("load", [1], {}, [
+            (f"load_{n:02d}.json", n, "none", _scenario_doc(
+                90.0, {"office": n, "build": max(1, n // 4), "backup": max(1, n // 8)}, []))
+            for n in (2, 4, 8, 16, 32)]),
+    }
+
+
 def make_standard_suites(out_dir: str | Path) -> dict[str, Path]:
     """Write the standard experiment suites under out_dir (s1..s5).
 
@@ -814,114 +863,20 @@ def make_standard_suites(out_dir: str | Path) -> dict[str, Path]:
     shared training scenario.
     """
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-
-    def emit(suite: str, doc: dict, scenarios: dict[str, dict]) -> None:
+    for suite, (sweep_param, seeds, overrides, points) in _standard_suites().items():
         sdir = root / suite
         sdir.mkdir(parents=True, exist_ok=True)
-        for fname, scen in scenarios.items():
+        docs = {"train.json": _train_doc()} | {name: scen for name, _, _, scen in points}
+        docs["suite.json"] = {
+            "suite": suite, "sweep_param": sweep_param, "seeds": seeds,
+            "train_scenario": "train.json", "config_overrides": overrides,
+            "runs": [{"scenario": name, "sweep_value": value, "family": family}
+                     for name, value, family, _ in points],
+        }
+        for fname, doc in docs.items():
             with open(sdir / fname, "w", encoding="utf-8") as fh:
-                json.dump(scen, fh, indent=2, sort_keys=True)
+                json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        with open(sdir / "suite.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         written[suite] = sdir
-
-    # S1: per-family accuracy, fixed 10-minute scenarios
-    runs = []
-    scenarios = {"train.json": _train_doc()}
-    for fam in FAMILIES:
-        fname = f"{fam}.json"
-        scenarios[fname] = _scenario_doc(
-            600.0, dict(_BENIGN_STD), [{"family": fam, "start_s": 240.0}]
-        )
-        runs.append({"scenario": fname, "sweep_value": fam, "family": fam})
-    emit("s1", {
-        "suite": "s1", "sweep_param": "family", "seeds": [1, 2, 3, 4, 5],
-        "train_scenario": "train.json", "runs": runs, "config_overrides": {},
-    }, scenarios)
-
-    # S2: detection by file type
-    runs = []
-    scenarios = {"train.json": _train_doc()}
-    for fam in FAMILIES:
-        for ft in FILETYPES:
-            fname = f"{fam}_{ft}.json"
-            scenarios[fname] = _scenario_doc(
-                240.0, dict(_BENIGN_STD),
-                [{"family": fam, "start_s": 90.0,
-                  "overrides": {"filetype_mix": {ft: 1.0}}}],
-            )
-            runs.append({"scenario": fname, "sweep_value": ft, "family": fam})
-    emit("s2", {
-        "suite": "s2", "sweep_param": "filetype", "seeds": [1, 2, 3],
-        "train_scenario": "train.json", "runs": runs, "config_overrides": {},
-    }, scenarios)
-
-    # S3: obfuscation sweep; within a family the manifests differ only in
-    # the obfuscation override (duty pinned so masking is the only moving
-    # part). The experiment raises the decision bar (tau, confirmations) so
-    # the detector operates on the sensitive shoulder of its curve.
-    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
-    runs = []
-    scenarios = {"train.json": _train_doc()}
-    for fam in ("lockbit", "conti", "revil"):
-        for lvl in levels:
-            fname = f"{fam}_obf{int(lvl * 100):03d}.json"
-            scenarios[fname] = _scenario_doc(
-                300.0, dict(_BENIGN_STD),
-                [{"family": fam, "start_s": 90.0,
-                  "overrides": {"obfuscation": lvl, "intermittent_duty": 1.0}},
-                 {"family": fam, "start_s": 120.0,
-                  "overrides": {"obfuscation": lvl, "intermittent_duty": 1.0}}],
-            )
-            runs.append({"scenario": fname, "sweep_value": lvl, "family": fam})
-    emit("s3", {
-        "suite": "s3", "sweep_param": "obfuscation", "seeds": [1, 2, 3, 4, 5],
-        "train_scenario": "train.json", "runs": runs,
-        "config_overrides": {"tau": 0.58, "smooth_m": 5},
-    }, scenarios)
-
-    # S4: encryption-speed sweep spanning almost two decades. Obfuscation
-    # and duty are held constant across the sweep so the speed effects
-    # (partial encryption diluting payload entropy, ceremony and telemetry
-    # ceilings) are the only moving parts.
-    speeds = (4.0, 10.0, 25.0, 60.0, 140.0, 300.0)
-    runs = []
-    scenarios = {"train.json": _train_doc()}
-    for fam in ("lockbit", "blackmatter"):
-        for sp in speeds:
-            fname = f"{fam}_fps{int(sp):03d}.json"
-            duration = min(480.0, 120.0 + _VICTIM_CORPUS_FILES / sp)
-            overrides = {"files_per_sec": sp, "obfuscation": 0.4,
-                         "intermittent_duty": 1.0}
-            scenarios[fname] = _scenario_doc(
-                duration, dict(_BENIGN_STD),
-                [{"family": fam, "start_s": 60.0, "overrides": dict(overrides)},
-                 {"family": fam, "start_s": 75.0, "overrides": dict(overrides)}],
-            )
-            runs.append({"scenario": fname, "sweep_value": sp, "family": fam})
-    emit("s4", {
-        "suite": "s4", "sweep_param": "files_per_sec", "seeds": [1, 2, 3, 4, 5],
-        "train_scenario": "train.json", "runs": runs, "config_overrides": {},
-    }, scenarios)
-
-    # S5: benign load ladder for latency/throughput
-    runs = []
-    scenarios = {"train.json": _train_doc()}
-    for n in (2, 4, 8, 16, 32):
-        fname = f"load_{n:02d}.json"
-        scenarios[fname] = _scenario_doc(
-            90.0,
-            {"office": n, "build": max(1, n // 4), "backup": max(1, n // 8)},
-            [],
-        )
-        runs.append({"scenario": fname, "sweep_value": n, "family": "none"})
-    emit("s5", {
-        "suite": "s5", "sweep_param": "load", "seeds": [1],
-        "train_scenario": "train.json", "runs": runs, "config_overrides": {},
-    }, scenarios)
-
     return written

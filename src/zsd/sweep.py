@@ -19,7 +19,9 @@ import numpy as np
 from . import metrics, simulator
 from .pipeline import RunStats, _EntityState, run_detection
 from .scorer import ScorerModel, TrainConfig, load_model, save_model, train
-from .types import Event, PipelineConfig, Truth, config_from_mapping
+from .types import (
+    ConfigError, Event, PipelineConfig, Truth, config_from_mapping, write_verdicts,
+)
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +42,8 @@ def build_training_set(
     scorer is supervised and needs them. Sampling is deterministic for a
     given (stream, seed).
     """
+    if max_per_class < 1:
+        raise ConfigError("max_per_class: must be >= 1")
     rng = np.random.default_rng(sample_seed)
     reservoirs: dict[int, list[np.ndarray]] = {0: [], 1: []}
     seen = {0: 0, 1: 0}
@@ -89,11 +93,6 @@ class SuiteResult:
     reports: dict[tuple, metrics.EvalReport] = field(default_factory=dict)
 
 
-def _load_suite(suite_dir: Path) -> dict:
-    with open(suite_dir / "suite.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def run_suite(
     suite_dir: str | Path,
     seeds: list[int] | None = None,
@@ -101,7 +100,8 @@ def run_suite(
 ) -> SuiteResult:
     """Run a generated suite end to end; returns rows, summary, stats."""
     suite_dir = Path(suite_dir)
-    doc = _load_suite(suite_dir)
+    with open(suite_dir / "suite.json", "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     suite = doc["suite"]
     sweep_param = doc["sweep_param"]
     seeds = seeds if seeds is not None else list(doc["seeds"])
@@ -143,10 +143,7 @@ def run_suite(
                 truth.save(runs_dir / f"{stem}.truth.json")
             verdicts, stats = run_detection(events, model, cfg)
             if keep_streams:
-                with open(runs_dir / f"{stem}.verdicts.jsonl", "w", encoding="utf-8") as fh:
-                    for v in verdicts:
-                        fh.write(v.to_json_line())
-                        fh.write("\n")
+                write_verdicts(verdicts, runs_dir / f"{stem}.verdicts.jsonl")
             report = metrics.score_run(verdicts, truth)
             key = (run["sweep_value"], run["family"])
             grouped.setdefault(key, []).append(report)

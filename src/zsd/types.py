@@ -7,6 +7,7 @@ so they can be passed freely between pipeline stages.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -169,6 +170,14 @@ class Verdict:
             phase=Phase(d.get("phase")),
             decided_ts=d["decided_ts"],
         )
+
+
+def write_verdicts(verdicts: list[Verdict], path: str | os.PathLike) -> None:
+    """One ``Verdict.to_json_line`` per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in verdicts:
+            fh.write(v.to_json_line())
+            fh.write("\n")
 
 
 @dataclass(slots=True)

@@ -395,7 +395,7 @@ def test_train_degenerate_data_exits_2(tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", "0"), ("--hidden", "0"), ("--lr", "0"), ("--lr", "nan"),
     ("--clip-norm", "0"), ("--train-seed", "-1"), ("--init-scale", "-1"),
-    ("--init-scale", "nan"), ("--init-scale", "inf"),
+    ("--init-scale", "nan"), ("--init-scale", "inf"), ("--max-per-class", "0"),
 ])
 def test_train_setting_out_of_range_exits_2(simulated, tmp_path, capsys, flag, value):
     events, _ = simulated

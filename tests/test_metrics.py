@@ -149,7 +149,8 @@ class TestSweepReport:
         assert lines[0] == ("sweep_param,sweep_value,family,detection_rate,"
                             "fpr,precision,recall,f1,mean_latency_ms,misses")
         assert len(lines) == 4
-        assert lines[1].startswith("obfuscation,0.0,lockbit,1.000000")
+        assert lines[1] == ("obfuscation,0.0,lockbit,1.000000,0.000000,1.000000,"
+                            "1.000000,1.000000,2.500,0")
 
     def test_summary_trend(self):
         _, summary = sweep_report(self._rows())

@@ -374,6 +374,15 @@ class TestStandardSuites:
         speeds = sorted({run["sweep_value"] for run in doc["runs"]})
         assert max(speeds) / min(speeds) >= 10
 
+    def test_suite_bytes_are_pinned(self, suite_root):
+        # one "<sha256>  ./<path>" line per file, as sha256sum prints them
+        paths = sorted(p.relative_to(suite_root).as_posix()
+                       for p in suite_root.rglob("*") if p.is_file())
+        listing = "".join(f"{_file_sha256(suite_root / p)}  ./{p}\n" for p in paths)
+        assert len(paths) == 66
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "f0112f0f96bc920ff95fb41f600a6b2a48602631e6d9c2aedd550ab98d333923")
+
     def test_scenarios_parse_and_generate(self, suite_root):
         # spot-check one manifest per suite end to end (tiny seed override)
         for name in ("s1", "s2", "s3", "s4", "s5"):
