@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ensemble import ContractError
@@ -130,8 +129,7 @@ def _build_parser() -> _Parser:
     be.add_argument("--config", default=None)
 
     sw = sub.add_parser("sweep", help="run a full experiment suite")
-    sw.add_argument("--suite", required=True,
-                    choices=["s1", "s2", "s3", "s4", "s5"])
+    sw.add_argument("--suite", required=True, help="a standard experiment suite")
     sw.add_argument("--out-dir", required=True)
     sw.add_argument("--seeds", type=_seed_list, default=None,
                     help="comma-separated seed list (default: suite.json)")
@@ -232,10 +230,8 @@ def _cmd_detect(args) -> int:
         with open(args.stats_out, "w", encoding="utf-8") as fh:
             fh.write(stats.to_json())
             fh.write("\n")
-    log.info(
-        "detect: %d events -> %d verdicts, %.0f events/s, skipped=%d",
-        stats.events_in, stats.verdicts_out, stats.throughput_eps, stream.skipped_count,
-    )
+    log.info("detect: %d events, one verdict each, %.0f events/s, skipped=%d",
+             stats.events_in, stats.throughput_eps, stream.skipped_count)
     return EXIT_OK
 
 
@@ -297,9 +293,13 @@ def _cmd_bench(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import simulator, sweep
 
-    out_dir = Path(args.out_dir)
-    simulator.make_standard_suites(out_dir)
-    result = sweep.run_suite(out_dir / args.suite, seeds=args.seeds or None)
+    suites = simulator.standard_suites()
+    if args.suite not in suites:
+        print(f"zsd sweep: unknown suite {args.suite!r}; choose from "
+              f"{', '.join(suites)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)  # as the parser's usage errors do
+    suite_dir = simulator.write_suite(args.out_dir, args.suite, suites[args.suite])
+    result = sweep.run_suite(suite_dir, seeds=args.seeds or None)
     trend = {fam: info.get("trend") for fam, info in result.summary["families"].items()}
     print(f"suite {args.suite}: csv={result.csv_path} trends={json.dumps(trend)}")
     return EXIT_OK

@@ -17,17 +17,18 @@ features, gate, initial_score)`` once per event, when its verdict is final
 returned, None for a prefiltered event; ``initial_score`` is None unless
 the event was deferred.
 
-Latency accounting: per-event latency is measured from dequeue to verdict
-and excludes input parsing; callers that want parse time separated should
-materialize events first (the CLI does). An event's latency includes the
-resolutions it makes due; those at stream end are in ``process_seconds``
-only. A deferred event's wait is not wall-clock time but stream time: its
-verdict's ``decided_ts - event_ts``.
+Latency accounting: ``run`` times each ``process_event`` call, so an
+event's latency excludes input parsing, which ``process_seconds`` counts
+for lazy input (the CLI materializes events first). An event's latency
+includes the resolutions it makes due; those at stream end are in
+``process_seconds`` only. A deferred event's wait is not wall-clock time
+but stream time: its verdict's ``decided_ts - event_ts``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import time
 from array import array
@@ -132,11 +133,10 @@ class RunStats:
     backwards timestamps, filled in by a caller that parsed the input.
     gate_scans counts the density-gate calls that scanned a reservoir; the
     other gate calls were settled by a bound without examining any point.
-    deferred_events is the deferred_resolved count of phase_counts.
+    The latency percentiles are nearest-rank: each is a recorded latency.
     """
 
     events_in: int = 0
-    verdicts_out: int = 0
     phase_counts: dict[str, int] = field(default_factory=dict)
     label_counts: dict[str, int] = field(default_factory=dict)
     process_seconds: float = 0.0
@@ -147,7 +147,6 @@ class RunStats:
     latency_ms_p99: float = 0.0
     latency_ms_max: float = 0.0
     latency_ms_mean: float = 0.0
-    deferred_events: int = 0
     peak_retained_items: int = 0
     entities_seen: int = 0
     gate_scans: int = 0
@@ -177,7 +176,6 @@ class Pipeline:
         # per-entity state, in order of first arrival
         self.entities: dict[str, _EntityState] = {}
         self.verdicts: list[Verdict] = []  # output of the run in progress
-        self._latency_ns = array("q")  # wall-clock ns per event
 
     def _resolve(self, state: _EntityState, deferral: Deferral) -> Verdict:
         track = state.track
@@ -198,8 +196,6 @@ class Pipeline:
         """Run the cascade for one event. Its verdict, plus any deferred
         resolutions that came due, are appended to ``self.verdicts`` (a
         deferred event appends none)."""
-        perf = time.perf_counter_ns
-        t0 = perf()
         cfg = self.cfg
         entity = event.entity
         state = self.entities.get(entity)
@@ -256,8 +252,6 @@ class Pipeline:
             for deferral in track.due_deferrals(window.seq):
                 out.append(self._resolve(state, deferral))
 
-        self._latency_ns.append(perf() - t0)
-
     def flush(self) -> None:
         """Resolve every outstanding deferral (stream end) into ``self.verdicts``."""
         for state in self.entities.values():
@@ -269,11 +263,15 @@ class Pipeline:
         (event_ts, entity) and number exactly one per input event."""
         grace = self.warmup_grace
         process_event = self.process_event
+        perf = time.perf_counter_ns
+        latency_ns = array("q")  # wall-clock ns per process_event call
         t_start = time.perf_counter()
         n = 0
         for event in events:
             n += 1
+            t0 = perf()
             process_event(event, n <= grace)
+            latency_ns.append(perf() - t0)
         held = sum(len(s.window.events) + s.ref.size + len(s.track.pending or ())
                    for s in self.entities.values())
         self.flush()
@@ -290,26 +288,25 @@ class Pipeline:
             raise ens.ContractError(
                 f"verdict conservation violated: {len(verdicts)} verdicts for {n} events"
             )
-        return verdicts, self._stats(verdicts, elapsed, held)
+        return verdicts, self._stats(verdicts, elapsed, held, latency_ns)
 
     def _stats(self, verdicts: list[Verdict], elapsed: float,
-               held: int) -> RunStats:
+               held: int, latency_ns: array) -> RunStats:
         n = len(verdicts)
-        stats = RunStats(events_in=n, verdicts_out=n)
+        stats = RunStats(events_in=n)
         stats.process_seconds = elapsed
         stats.throughput_eps = n / elapsed if elapsed > 0 else 0.0
-        if self._latency_ns:
-            arr = np.sort(np.frombuffer(self._latency_ns, dtype=np.int64) / 1e6)
-            stats.latency_ms_p50 = float(np.percentile(arr, 50))
-            stats.latency_ms_p95 = float(np.percentile(arr, 95))
-            stats.latency_ms_p99 = float(np.percentile(arr, 99))
+        if n:
+            arr = np.sort(np.frombuffer(latency_ns, dtype=np.int64) / 1e6)
+            # nearest rank; np.percentile would import numpy.ma
+            stats.latency_ms_p50, stats.latency_ms_p95, stats.latency_ms_p99 = (
+                float(arr[math.ceil(q * n) - 1]) for q in (0.50, 0.95, 0.99))
             stats.latency_ms_max = float(arr[-1])
             stats.latency_ms_mean = float(arr.mean())
         phases = Counter(map(_BY_PHASE, verdicts))
         stats.phase_counts = {k.value: c for k, c in sorted(phases.items())}
         labels = Counter(map(_BY_LABEL, verdicts))
         stats.label_counts = {k.value: c for k, c in sorted(labels.items())}
-        stats.deferred_events = phases[_DEFERRED_RESOLVED]
         stats.peak_retained_items = held
         stats.entities_seen = len(self.entities)
         stats.gate_scans = sum(s.ref.scans for s in self.entities.values())

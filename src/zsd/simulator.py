@@ -811,7 +811,7 @@ def _attacks(family: str, starts: tuple[float, ...], overrides: dict) -> list[di
             for start in starts]
 
 
-def _standard_suites() -> dict[str, tuple]:
+def standard_suites() -> dict[str, tuple]:
     """Each suite as (sweep parameter, seeds, config overrides, points); a
     point is (manifest name, sweep value, family, scenario document)."""
     return {
@@ -855,28 +855,28 @@ def _standard_suites() -> dict[str, tuple]:
     }
 
 
-def make_standard_suites(out_dir: str | Path) -> dict[str, Path]:
-    """Write the standard experiment suites under out_dir (s1..s5).
+def write_suite(out_dir: str | Path, suite: str, spec: tuple) -> Path:
+    """Write one entry of standard_suites() as out_dir/suite: its scenario
+    manifests, train.json, and a suite.json naming the swept parameter, the
+    per-run metadata, the seeds and the training scenario."""
+    sweep_param, seeds, overrides, points = spec
+    sdir = Path(out_dir) / suite
+    sdir.mkdir(parents=True, exist_ok=True)
+    docs = {"train.json": _train_doc()} | {name: scen for name, _, _, scen in points}
+    docs["suite.json"] = {
+        "suite": suite, "sweep_param": sweep_param, "seeds": seeds,
+        "train_scenario": "train.json", "config_overrides": overrides,
+        "runs": [{"scenario": name, "sweep_value": value, "family": family}
+                 for name, value, family, _ in points],
+    }
+    for fname, doc in docs.items():
+        with open(sdir / fname, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return sdir
 
-    Each suite directory holds scenario manifests plus a suite.json that
-    names the swept parameter, the per-run metadata, the seeds, and the
-    shared training scenario.
-    """
-    root = Path(out_dir)
-    written: dict[str, Path] = {}
-    for suite, (sweep_param, seeds, overrides, points) in _standard_suites().items():
-        sdir = root / suite
-        sdir.mkdir(parents=True, exist_ok=True)
-        docs = {"train.json": _train_doc()} | {name: scen for name, _, _, scen in points}
-        docs["suite.json"] = {
-            "suite": suite, "sweep_param": sweep_param, "seeds": seeds,
-            "train_scenario": "train.json", "config_overrides": overrides,
-            "runs": [{"scenario": name, "sweep_value": value, "family": family}
-                     for name, value, family, _ in points],
-        }
-        for fname, doc in docs.items():
-            with open(sdir / fname, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        written[suite] = sdir
-    return written
+
+def make_standard_suites(out_dir: str | Path) -> dict[str, Path]:
+    """Write every standard experiment suite under out_dir."""
+    return {suite: write_suite(out_dir, suite, spec)
+            for suite, spec in standard_suites().items()}

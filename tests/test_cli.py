@@ -372,13 +372,16 @@ def test_bad_config_exits_2(workdir, simulated, model_path, tmp_path):
     assert rc == 2
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect"])  # missing required flags
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--suite", "s9", "--out-dir", "/tmp/x"])
+        main(["sweep", "--suite", "s9", "--out-dir", str(tmp_path / "x")])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unknown suite 's9'; choose from s1, s2, s3, s4, s5" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_degenerate_data_exits_2(tmp_path):
@@ -516,3 +519,38 @@ def test_cli_import_leaves_out_the_other_subcommands_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_writes_only_the_chosen_suite(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    import zsd.sweep
+
+    ran = []
+
+    def run_suite(suite_dir, seeds=None):
+        ran.append(suite_dir)
+        return SimpleNamespace(summary={"families": {}}, csv_path=suite_dir / "sweep.csv")
+
+    monkeypatch.setattr(zsd.sweep, "run_suite", run_suite)
+    assert main(["sweep", "--suite", "s5", "--out-dir", str(tmp_path)]) == 0
+    assert ran == [tmp_path / "s5"]
+    assert [p.name for p in tmp_path.iterdir()] == ["s5"]
+
+
+def test_detect_does_not_import_numpy_ma(simulated, model_path, tmp_path):
+    # the run's stats are read without numpy's masked arrays, whose import
+    # costs tens of milliseconds and megabytes of every detect
+    import subprocess
+    import sys
+
+    events, _ = simulated
+    code = ("import sys; from zsd.cli import main; "
+            f"rc = main(['detect', '--model', {str(model_path)!r}, '--input', "
+            f"{str(events)!r}, '-o', {str(tmp_path / 'v.jsonl')!r}, "
+            f"'--stats-out', {str(tmp_path / 's.json')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
