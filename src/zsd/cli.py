@@ -99,12 +99,12 @@ def _build_parser() -> _Parser:
     tr.add_argument("--data", required=True, help="labeled events (JSON Lines)")
     tr.add_argument("--config", default=None, help="pipeline config file")
     tr.add_argument("-o", "--output", required=True, help="model output path")
-    tr.add_argument("--lr", type=float, default=0.05)
-    tr.add_argument("--epochs", type=int, default=30)
-    tr.add_argument("--hidden", type=int, default=32)
-    tr.add_argument("--clip-norm", type=float, default=5.0)
-    tr.add_argument("--train-seed", type=int, default=1)
-    tr.add_argument("--init-scale", type=float, default=0.1)
+    tr.add_argument("--lr", type=float, default=TrainConfig.lr)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    tr.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
+    tr.add_argument("--train-seed", type=int, default=TrainConfig.seed)
+    tr.add_argument("--init-scale", type=float, default=TrainConfig.init_scale)
     tr.add_argument("--max-per-class", type=int, default=1500)
 
     de = sub.add_parser("detect", help="run detection over an event stream")
@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         print(f"zsd {args.command}: internal contract violation: {exc}", file=sys.stderr)
         raise
-    except (ZsdError, FileNotFoundError) as exc:
+    except (ZsdError, OSError, UnicodeDecodeError) as exc:
         print(f"zsd {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

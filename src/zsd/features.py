@@ -37,9 +37,9 @@ from .types import Event, EventKind, FeatureVector
 # exactly (at most 1074, which covers every positive double). Every value is
 # then an exact integer, so the sums are exact and order-independent, and a
 # mean is one correctly rounded int/int division of the same rational at
-# any scale. The scale never falls, so an evicted value, converted when it
-# arrived, is recomputed at the current scale without raising it: every
-# rescale shifted its share of the sum by as much.
+# any scale. The scale never falls, so an eviction never raises it: the
+# evicted value fitted the scale when it arrived, and its recomputed value
+# is its share of the sum, since every rescale shifted both by as much.
 _FP_START_BITS = 64
 
 _K_WRITE = EventKind.FILE_WRITE
@@ -119,17 +119,17 @@ class EntityWindow:
                 if events:
                     old_gap = events[0].ts - old.ts
                     self.gap_sumsq += gap * gap - old_gap * old_gap
-                self._remove(old)
+                self._count(old, -1)
             else:
                 self.gap_sumsq += gap * gap
         events.append(event)
-        self._add(event)
+        self._count(event, 1)
         return self.seq
 
     def _fixed(self, x: float) -> int:
         """x * 2**fp_bits as an exact integer, raising the scale if x needs
-        it. A rescale shifts the sums too, so add the result to a sum after
-        the call."""
+        it, which an evicted x never does. A rescale shifts the sums too, so
+        add the result to a sum after the call."""
         p, q = x.as_integer_ratio()
         shift = self.fp_bits - (q.bit_length() - 1)
         if shift < 0:
@@ -139,93 +139,66 @@ class EntityWindow:
             shift = 0
         return p << shift
 
-    def _add(self, event: Event) -> None:
+    def _count(self, event: Event, d: int) -> None:
+        """Count the event into the aggregates on arrival (d=1) or out of
+        them on eviction (d=-1)."""
         kind = event.kind
         if kind is _K_READ:
             entropy = event.entropy
             if entropy is not None:
                 fp = self._fixed(entropy)
-                self.rent_sum += fp
-                self.rent_count += 1
+                self.rent_sum += fp if d > 0 else -fp
+                self.rent_count += d
                 self._rent_mean = None
         elif kind is _K_WRITE:
-            self.n_writes += 1
+            self.n_writes += d
             entropy = event.entropy
             if entropy is not None:
                 fp = self._fixed(entropy)
-                self.went_sum += fp
-                self.went_count += 1
+                self.went_sum += fp if d > 0 else -fp
+                self.went_count += d
                 self._went_mean = None
         elif kind is _K_RENAME:
-            self.n_renames += 1
+            self.n_renames += d
             if event.ext_after != event.ext_before:
-                self.n_renames_ext += 1
+                self.n_renames_ext += d
         elif kind is _K_SEND:
             if event.bytes is not None:
-                self.send_bytes += event.bytes
+                self.send_bytes += d * event.bytes
         elif kind is _K_CONNECT:
-            self.n_connects += 1
+            self.n_connects += d
         elif kind is _K_DELETE:
-            self.n_deletes += 1
+            self.n_deletes += d
         elif kind is _K_PRIV:
-            self.n_priv += 1
+            self.n_priv += d
 
         path = event.path
         if path is None:
             return
-        track = self.paths.get(path)
-        if track is None:
-            track = self.paths[path] = _PathTrack()
-        track.refs += 1
-        if kind is _K_READ:
-            track.reads += 1
-        elif kind is _K_WRITE:
-            if not track.writes:
-                self.written_paths += 1
-            elif track.reads_before:
-                self.read_then_written -= 1
-            track.writes += 1
-            # every read of the path now precedes its newest write
-            track.reads_before = track.reads
-            if track.reads:
-                self.read_then_written += 1
-
-    def _remove(self, event: Event) -> None:
-        kind = event.kind
-        if kind is _K_READ:
-            if event.entropy is not None:
-                fp = self._fixed(event.entropy)
-                self.rent_sum -= fp
-                self.rent_count -= 1
-                self._rent_mean = None
-        elif kind is _K_WRITE:
-            self.n_writes -= 1
-            if event.entropy is not None:
-                fp = self._fixed(event.entropy)
-                self.went_sum -= fp
-                self.went_count -= 1
-                self._went_mean = None
-        elif kind is _K_RENAME:
-            self.n_renames -= 1
-            if event.ext_after != event.ext_before:
-                self.n_renames_ext -= 1
-        elif kind is _K_SEND:
-            if event.bytes is not None:
-                self.send_bytes -= event.bytes
-        elif kind is _K_CONNECT:
-            self.n_connects -= 1
-        elif kind is _K_DELETE:
-            self.n_deletes -= 1
-        elif kind is _K_PRIV:
-            self.n_priv -= 1
-
-        path = event.path
-        if path is None:
+        # the path tallies are not mirror images: an arrival resets
+        # reads_before, an eviction takes the path's oldest read
+        if d > 0:
+            track = self.paths.get(path)
+            if track is None:
+                track = self.paths[path] = _PathTrack()
+            track.refs += 1
+            if kind is _K_READ:
+                track.reads += 1
+            elif kind is _K_WRITE:
+                if not track.writes:
+                    self.written_paths += 1
+                elif track.reads_before:
+                    self.read_then_written -= 1
+                track.writes += 1
+                # every read of the path now precedes its newest write
+                track.reads_before = track.reads
+                if track.reads:
+                    self.read_then_written += 1
             return
         track = self.paths[path]
         if kind is _K_READ:
             track.reads -= 1
-            # the path's oldest read; it preceded the newest write iff any did
+            # it preceded the newest write iff any read did
             if track.reads_before:
                 track.reads_before -= 1
                 if not track.reads_before:

@@ -131,8 +131,9 @@ class RunStats:
     counted.
     lines_skipped and ts_out_of_order are the input's malformed lines and
     backwards timestamps, filled in by a caller that parsed the input.
-    gate_scans counts the density-gate calls that scanned a reservoir; the
-    other gate calls were settled by a bound without examining any point.
+    gate_scans counts this run's density-gate calls that scanned a
+    reservoir; the other gate calls were settled by a bound without
+    examining any point.
     The latency percentiles are nearest-rank: each is a recorded latency.
     """
 
@@ -265,6 +266,7 @@ class Pipeline:
         process_event = self.process_event
         perf = time.perf_counter_ns
         latency_ns = array("q")  # wall-clock ns per process_event call
+        scans_before = self._gate_scans()
         t_start = time.perf_counter()
         n = 0
         for event in events:
@@ -288,7 +290,13 @@ class Pipeline:
             raise ens.ContractError(
                 f"verdict conservation violated: {len(verdicts)} verdicts for {n} events"
             )
-        return verdicts, self._stats(verdicts, elapsed, held, latency_ns)
+        stats = self._stats(verdicts, elapsed, held, latency_ns)
+        stats.gate_scans = self._gate_scans() - scans_before
+        return verdicts, stats
+
+    def _gate_scans(self) -> int:
+        """Reservoir scans so far, over every run of this pipeline."""
+        return sum(s.ref.scans for s in self.entities.values())
 
     def _stats(self, verdicts: list[Verdict], elapsed: float,
                held: int, latency_ns: array) -> RunStats:
@@ -309,7 +317,6 @@ class Pipeline:
         stats.label_counts = {k.value: c for k, c in sorted(labels.items())}
         stats.peak_retained_items = held
         stats.entities_seen = len(self.entities)
-        stats.gate_scans = sum(s.ref.scans for s in self.entities.values())
         return stats
 
 

@@ -29,8 +29,8 @@ log = logging.getLogger(__name__)
 def build_training_set(
     events: list[Event],
     cfg: PipelineConfig,
-    max_per_class: int = 1500,
-    sample_seed: int = 7,
+    max_per_class: int,
+    sample_seed: int,
 ) -> list[tuple[np.ndarray, int]]:
     """Per-event sequences labeled by event truth, reservoir-capped per class.
 

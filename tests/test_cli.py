@@ -310,6 +310,29 @@ def test_missing_model_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_model_path_that_is_a_directory_exits_2(simulated, tmp_path, capsys):
+    events, _ = simulated
+    rc = main(["detect", "--model", str(tmp_path), "--input", str(events),
+               "-o", str(tmp_path / "v.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zsd detect: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_input_that_is_not_utf8_exits_2(model_path, tmp_path, capsys, strict):
+    data = tmp_path / "e.jsonl"
+    data.write_bytes(b'{"ts": 0, "entity": "\xff", "kind": "file_read"}\n')
+    rc = main(["detect", "--model", str(model_path), "--input", str(data),
+               "-o", str(tmp_path / "v.jsonl"), *strict])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zsd detect: ") and err.count("\n") == 1
+    assert "can't decode" in err
+    assert not (tmp_path / "v.jsonl").exists()
+
+
 def test_model_with_a_nan_parameter_exits_2(workdir, simulated, model_path, tmp_path, capsys):
     events, _ = simulated
     lines = model_path.read_text(encoding="utf-8").splitlines()

@@ -332,6 +332,17 @@ def test_latency_is_per_run_and_nearest_rank(monkeypatch):
     assert second.latency_ms_p50 == second.latency_ms_max == second.latency_ms_mean == 1.0
 
 
+def test_gate_scans_are_per_run():
+    # the reservoirs' scan counters span both runs; each run reports its own
+    pipe = Pipeline(benign_model(), validate_config(PipelineConfig()))
+    events = busy_mixed_stream(600, seed=5)
+    _, first = pipe.run(events[:300])
+    _, second = pipe.run(events[300:])
+    total = sum(s.ref.scans for s in pipe.entities.values())
+    assert first.gate_scans > 0 and second.gate_scans > 0
+    assert first.gate_scans + second.gate_scans == total
+
+
 def test_peak_retained_items_counts_the_state_held_at_end_of_input():
     # a constant-0.5 scorer defers every scored outlier, and the deferrals
     # of each entity's last reeval_window events are still pending when the
