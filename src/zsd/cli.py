@@ -13,12 +13,13 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .ensemble import ContractError
-from .ingest import EventStream, read_stream
-from .pipeline import run_detection
+from .ingest import EncodingError, EventStream, read_stream
+from .pipeline import run_detection, train_from_events
 from .scorer import DimensionError, ScorerModel, TrainConfig, load_model, save_model
 from .types import (
     FEATURE_COUNT,
@@ -99,13 +100,9 @@ def _build_parser() -> _Parser:
     tr.add_argument("--data", required=True, help="labeled events (JSON Lines)")
     tr.add_argument("--config", default=None, help="pipeline config file")
     tr.add_argument("-o", "--output", required=True, help="model output path")
-    tr.add_argument("--lr", type=float, default=TrainConfig.lr)
-    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    tr.add_argument("--hidden", type=int, default=TrainConfig.hidden)
-    tr.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
-    tr.add_argument("--train-seed", type=int, default=TrainConfig.seed)
-    tr.add_argument("--init-scale", type=float, default=TrainConfig.init_scale)
-    tr.add_argument("--max-per-class", type=int, default=1500)
+    for f in fields(TrainConfig):
+        flag = "train-seed" if f.name == "seed" else f.name.replace("_", "-")
+        tr.add_argument(f"--{flag}", dest=f.name, type=type(f.default), default=f.default)
 
     de = sub.add_parser("detect", help="run detection over an event stream")
     de.add_argument("--model", required=True, help="trained model file")
@@ -156,20 +153,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from . import sweep
-
     cfg = _load_pipeline_config(args.config)
-    tcfg = TrainConfig(
-        lr=args.lr, epochs=args.epochs, clip_norm=args.clip_norm,
-        seed=args.train_seed, hidden=args.hidden, init_scale=args.init_scale,
-    )
+    tcfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     events = list(read_stream(EventStream(source=args.data, strict=False)))
     if not events:
         raise ZsdError("training stream is empty")
-    model, losses = sweep.train_from_events(
-        events, cfg, tcfg, max_per_class=args.max_per_class
-    )
-    save_model(model, args.output)
+    result = train_from_events(events, cfg, tcfg)
+    save_model(result.model, args.output)
+    losses = result.epoch_losses
     log.info("train: %d events, mean loss %.4f -> %.4f, model -> %s",
              len(events), losses[0], losses[-1], args.output)
     return EXIT_OK
@@ -239,13 +230,17 @@ def _cmd_eval(args) -> int:
     from . import metrics, simulator
 
     verdicts = []
+    line_no = 0
     with open(args.verdicts, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    verdicts.append(Verdict.from_json_line(line))
-                except ValueError as exc:
-                    raise ZsdError(f"{args.verdicts}: line {line_no}: {exc}") from None
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        verdicts.append(Verdict.from_json_line(line))
+                    except ValueError as exc:
+                        raise ZsdError(f"{args.verdicts}: line {line_no}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise EncodingError(args.verdicts, line_no, exc) from None
     truth = simulator.TruthIndex.load(args.truth)
     report = metrics.score_run(verdicts, truth)
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -51,9 +51,8 @@ class Deferral:
     result, and the score that put it in the band."""
 
     event_ts: int
-    deadline: int          # entity event count at which resolution is due
     initial_score: float
-    window_id: int
+    window_id: int         # the entity's event count when it was deferred
     values: list[float]
     gate: tuple[bool, int]
 
@@ -63,11 +62,10 @@ class EnsembleState:
     ring), its decision clock ``max_ts`` (the latest timestamp seen, which
     the pipeline advances) and its pending deferrals.
 
-    A deferral's deadline is the entity's event count (its window's
-    ``seq``) when it was deferred plus the fixed reeval_window, so
-    deadlines ascend in queue order and the due deferrals are always a
-    prefix of ``pending``. ``pending`` is None until the entity's first
-    deferral: most entities never defer.
+    A deferral is due once the entity has made the fixed reeval_window
+    events after the one deferred. Window ids ascend in queue order, so
+    the due deferrals are always a prefix of ``pending``. ``pending`` is
+    None until the entity's first deferral: most entities never defer.
     """
 
     __slots__ = ("ring", "pending", "max_ts")
@@ -83,12 +81,12 @@ class EnsembleState:
             self.pending = deque()
         self.pending.append(deferral)
 
-    def due_deferrals(self, seen: int) -> list[Deferral]:
-        """Pop the deferrals whose deadline ``seen``, the entity's event
-        count, has reached, oldest first."""
+    def due_deferrals(self, upto: int) -> list[Deferral]:
+        """Pop the deferrals whose window id is at most ``upto`` (the
+        entity's event count minus reeval_window), oldest first."""
         pending = self.pending
         due = []
-        while pending and pending[0].deadline <= seen:
+        while pending and pending[0].window_id <= upto:
             due.append(pending.popleft())
         return due
 

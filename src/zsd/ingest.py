@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .types import Event, EventKind, Truth, ZsdError
@@ -56,6 +56,17 @@ class ParseError(ZsdError):
 
 class SchemaError(ZsdError):
     """Record parsed but violates an Event invariant."""
+
+
+class EncodingError(ZsdError):
+    """Input bytes that are not UTF-8. Text is decoded a chunk at a time,
+    so the bad bytes lie somewhere after the last line read, which is all
+    the message can name."""
+
+    def __init__(self, source: str, line_no: int, exc: UnicodeDecodeError):
+        super().__init__(
+            f"{source}: can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 "
+            f"({exc.reason}) after line {line_no}")
 
 
 def _decode(line: str, line_no: int):
@@ -165,10 +176,8 @@ class EventStream:
 
     source: str
     strict: bool = False
-    cursor: int = 0
     skipped_count: int = 0
     monotonicity_warnings: int = 0
-    _last_ts: int = field(default=-1, repr=False)
 
     def _open(self) -> IO[str]:
         if self.source == STDIN_MARKER:
@@ -183,23 +192,26 @@ def read_stream(stream: EventStream) -> Iterator[Event]:
     in stream.skipped_count; strict mode aborts on the first bad line.
     """
     fh = stream._open()
+    line_no = 0
+    last_ts = -1
     try:
-        for raw in fh:
-            stream.cursor += 1
+        for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                event = parse_event_line(line, stream.cursor, strict=stream.strict)
+                event = parse_event_line(line, line_no, strict=stream.strict)
             except (ParseError, SchemaError):
                 if stream.strict:
                     raise
                 stream.skipped_count += 1
                 continue
-            if event.ts < stream._last_ts:
+            if event.ts < last_ts:
                 stream.monotonicity_warnings += 1
-            stream._last_ts = event.ts
+            last_ts = event.ts
             yield event
+    except UnicodeDecodeError as exc:
+        raise EncodingError(stream.source, line_no, exc) from None
     finally:
         if stream.source != STDIN_MARKER:
             fh.close()

@@ -17,6 +17,9 @@ features, gate, initial_score)`` once per event, when its verdict is final
 returned, None for a prefiltered event; ``initial_score`` is None unless
 the event was deferred.
 
+Training: ``train_from_events`` pushes a labeled stream through the same
+per-entity state, so the scorer learns on the sequences detection scores.
+
 Latency accounting: ``run`` times each ``process_event`` call, so an
 event's latency excludes input parsing, which ``process_seconds`` counts
 for lazy input (the CLI materializes events first). An event's latency
@@ -42,13 +45,14 @@ from . import ensemble as ens
 from .clustering import ReferenceSet, assign_raw
 from .ensemble import Decision, Deferral, EnsembleState
 from .features import EntityWindow, extract_values
-from .scorer import Prefix, ScorerModel, forward
+from .scorer import Prefix, ScorerModel, TrainConfig, TrainResult, forward, train
 from .types import (
     FEATURE_COUNT,
     Event,
     Label,
     Phase,
     PipelineConfig,
+    Truth,
     Verdict,
     validate_config,
 )
@@ -115,6 +119,47 @@ class _EntityState:
         if self.prefix is not None and self.window.seq > len(self.recent):
             self.prefix = None
         return forward(model, self.sequence(), self.prefix)
+
+
+def train_from_events(
+    events: Iterable[Event],
+    cfg: PipelineConfig,
+    tcfg: TrainConfig,
+) -> TrainResult:
+    """Train a scorer on every event's sequence, labeled by the event's truth.
+
+    The sequences are the ones detection scores: each event is pushed into
+    its entity's ``_EntityState``, so training and detection build windows,
+    features and sequences one way. Each label keeps a uniform reservoir
+    sample of at most ``tcfg.max_per_class`` sequences, drawn with seed
+    ``tcfg.seed + 1``, so the model is deterministic for (stream, cfg, tcfg).
+
+    This is the only place outside evaluation that reads truth labels: the
+    scorer is supervised and needs them.
+    """
+    cap = tcfg.max_per_class
+    rng = np.random.default_rng(tcfg.seed + 1)
+    reservoirs: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+    seen = [0, 0]
+    states: dict[str, _EntityState] = {}
+    for event in events:
+        state = states.get(event.entity)
+        if state is None:
+            state = states[event.entity] = _EntityState(event.entity, cfg)
+        state.push(event)
+
+        label = 1 if event.truth is Truth.MALICIOUS else 0
+        seen[label] += 1
+        res = reservoirs[label]
+        if len(res) < cap:
+            res.append(state.sequence())
+        else:
+            j = int(rng.integers(0, seen[label]))
+            if j < cap:
+                res[j] = state.sequence()
+
+    dataset = [(seq, label) for label, res in enumerate(reservoirs) for seq in res]
+    return train(dataset, tcfg)
 
 
 @dataclass
@@ -231,10 +276,7 @@ class Pipeline:
                 score = state.score(self.model)
                 decision = ens.decide_raw(score, cfg)
                 if decision is _DEFER:
-                    track.defer(Deferral(
-                        event_ts, window.seq + cfg.reeval_window, score,
-                        window.seq, values, gate,
-                    ))
+                    track.defer(Deferral(event_ts, score, window.seq, values, gate))
                     verdict = None  # final when the deferral resolves
                 else:
                     raw = _MALICIOUS if decision is _FLAG else _BENIGN
@@ -250,7 +292,7 @@ class Pipeline:
                 self.trace(verdict, window.seq, values, gate, None)
 
         if track.pending:
-            for deferral in track.due_deferrals(window.seq):
+            for deferral in track.due_deferrals(window.seq - cfg.reeval_window):
                 out.append(self._resolve(state, deferral))
 
     def flush(self) -> None:

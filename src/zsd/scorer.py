@@ -100,6 +100,7 @@ class TrainConfig:
     seed: int = 1
     hidden: int = 32
     init_scale: float = 0.1   # 0 gives an all-zero initialization
+    max_per_class: int = 1500  # training sequences kept per label
 
     def __post_init__(self) -> None:
         if not (self.lr > 0):
@@ -114,6 +115,8 @@ class TrainConfig:
             raise ConfigError("seed: must be >= 0")
         if not (0 <= self.init_scale < math.inf):
             raise ConfigError("init_scale: must be finite and >= 0")
+        if self.max_per_class < 1:
+            raise ConfigError("max_per_class: must be >= 1")
 
 
 def _seq_matrix(seq: np.ndarray, inputs: int) -> np.ndarray:

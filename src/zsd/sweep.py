@@ -1,10 +1,11 @@
-"""End-to-end sweep harness: generate suites, train once, detect, evaluate.
+"""Suite runner: train once on a suite, detect every run, evaluate.
 
-A suite directory (written by the simulator's make_standard_suites) holds
-scenario manifests plus suite.json metadata. run_suite() materializes each
-(run, seed) stream, trains one model on the suite's held-out training
-scenario, runs detection with the suite's config, evaluates against the
-sidecar truth, and writes sweep.csv + summary.json.
+A suite directory (written by ``simulator.write_suite``) holds scenario
+manifests plus suite.json metadata. run_suite() trains one model on the
+suite's held-out training scenario (or reuses the directory's model.zsd),
+materializes each (run, seed) stream, runs detection with the suite's
+config, evaluates against the sidecar truth, and writes sweep.csv +
+summary.json (and resources.csv for s5).
 """
 
 from __future__ import annotations
@@ -14,72 +15,12 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, simulator
-from .pipeline import RunStats, _EntityState, run_detection
-from .scorer import ScorerModel, TrainConfig, load_model, save_model, train
-from .types import (
-    ConfigError, Event, PipelineConfig, Truth, config_from_mapping, write_verdicts,
-)
+from .pipeline import RunStats, run_detection, train_from_events
+from .scorer import TrainConfig, load_model, save_model
+from .types import config_from_mapping, write_verdicts
 
 log = logging.getLogger(__name__)
-
-
-def build_training_set(
-    events: list[Event],
-    cfg: PipelineConfig,
-    max_per_class: int,
-    sample_seed: int,
-) -> list[tuple[np.ndarray, int]]:
-    """Per-event sequences labeled by event truth, reservoir-capped per class.
-
-    Windows, features and sequences come from the detection pipeline's own
-    per-entity state (``_EntityState``), so training and detection build
-    them one way.
-
-    This is the only place outside evaluation that reads truth labels: the
-    scorer is supervised and needs them. Sampling is deterministic for a
-    given (stream, seed).
-    """
-    if max_per_class < 1:
-        raise ConfigError("max_per_class: must be >= 1")
-    rng = np.random.default_rng(sample_seed)
-    reservoirs: dict[int, list[np.ndarray]] = {0: [], 1: []}
-    seen = {0: 0, 1: 0}
-    states: dict[str, _EntityState] = {}
-
-    for event in events:
-        label = 1 if event.truth is Truth.MALICIOUS else 0
-        state = states.get(event.entity)
-        if state is None:
-            state = states[event.entity] = _EntityState(event.entity, cfg)
-        state.push(event)
-
-        seen[label] += 1
-        res = reservoirs[label]
-        if len(res) < max_per_class:
-            res.append(state.sequence())
-        else:
-            j = int(rng.integers(0, seen[label]))
-            if j < max_per_class:
-                res[j] = state.sequence()
-
-    dataset = [(seq, 0) for seq in reservoirs[0]] + [(seq, 1) for seq in reservoirs[1]]
-    return dataset
-
-
-def train_from_events(
-    events: list[Event],
-    cfg: PipelineConfig,
-    tcfg: TrainConfig,
-    max_per_class: int = 1500,
-) -> tuple[ScorerModel, list[float]]:
-    dataset = build_training_set(
-        events, cfg, max_per_class=max_per_class, sample_seed=tcfg.seed + 1
-    )
-    result = train(dataset, tcfg)
-    return result.model, result.epoch_losses
 
 
 @dataclass
@@ -118,10 +59,11 @@ def run_suite(
         scen = simulator.load_scenario(suite_dir / doc["train_scenario"])
         events, _ = simulator.generate(scen)
         log.info("suite %s: training on %d events", suite, len(events))
-        model, losses = train_from_events(events, cfg, tcfg)
+        trained = train_from_events(events, cfg, tcfg)
+        model = trained.model
         save_model(model, model_path)
         log.info("suite %s: training loss %.4f -> %.4f",
-                 suite, losses[0], losses[-1])
+                 suite, trained.epoch_losses[0], trained.epoch_losses[-1])
 
     runs_dir = suite_dir / "runs"
     runs_dir.mkdir(exist_ok=True)

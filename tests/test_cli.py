@@ -320,17 +320,31 @@ def test_model_path_that_is_a_directory_exits_2(simulated, tmp_path, capsys):
     assert "Is a directory" in err
 
 
-@pytest.mark.parametrize("strict", [[], ["--strict"]])
-def test_input_that_is_not_utf8_exits_2(model_path, tmp_path, capsys, strict):
+@pytest.mark.parametrize("command,flag,extra", [
+    ("detect", "--input", []),
+    ("detect", "--input", ["--strict"]),
+    ("train", "--data", []),
+    ("eval", "--verdicts", ["--truth", "never-read.json"]),
+])
+def test_input_that_is_not_utf8_exits_2(model_path, tmp_path, capsys,
+                                        command, flag, extra):
+    # blank lines, which every reader skips, then a line with a bad byte;
+    # text is decoded a chunk at a time, so the message names the last
+    # line read, somewhere before the bad one
     data = tmp_path / "e.jsonl"
-    data.write_bytes(b'{"ts": 0, "entity": "\xff", "kind": "file_read"}\n')
-    rc = main(["detect", "--model", str(model_path), "--input", str(data),
-               "-o", str(tmp_path / "v.jsonl"), *strict])
+    data.write_bytes(b"\n" * 10_000 + b'{"ts": 0, "entity": "\xff", "kind": "file_read"}\n')
+    if command == "detect":
+        extra = ["--model", str(model_path), *extra]
+    out = tmp_path / "out"
+    rc = main([command, flag, str(data), "-o", str(out), *extra])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("zsd detect: ") and err.count("\n") == 1
-    assert "can't decode" in err
-    assert not (tmp_path / "v.jsonl").exists()
+    assert err.count("\n") == 1
+    head = (f"zsd {command}: {data}: can't decode byte 0xff as UTF-8 "
+            "(invalid start byte) after line ")
+    assert err.startswith(head)
+    assert 0 < int(err[len(head):]) <= 10_000
+    assert not out.exists()
 
 
 def test_model_with_a_nan_parameter_exits_2(workdir, simulated, model_path, tmp_path, capsys):
@@ -443,6 +457,37 @@ def test_train_that_diverges_exits_2_and_writes_no_model(simulated, tmp_path, ca
     assert rc == 2
     assert "Wx: non-finite parameter nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_model_bytes_are_pinned(simulated, tmp_path):
+    # training builds its sequences with detection's per-entity state and
+    # samples them with a seeded reservoir: this digest pins both
+    import hashlib
+
+    events, _ = simulated
+    out = tmp_path / "m.zsd"
+    rc = main(["train", "--data", str(events), "-o", str(out),
+               "--epochs", "1", "--hidden", "4", "--max-per-class", "50"])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e4eb47ffbb1fa83cfc3f282d92f8963371831beadd1c2714dafb28df19a83819")
+
+
+def test_train_leaves_out_the_suite_harness(simulated, tmp_path):
+    import subprocess
+    import sys
+
+    events, _ = simulated
+    code = ("import sys; from zsd.cli import main; "
+            f"rc = main(['train', '--data', {str(events)!r}, '-o', "
+            f"{str(tmp_path / 'm.zsd')!r}, '--epochs', '1', '--hidden', '4', "
+            "'--max-per-class', '50']); "
+            "print(rc, sorted(m for m in ('zsd.simulator', 'zsd.sweep', "
+            "'zsd.metrics') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_bench_prints_stats(capsys):

@@ -95,32 +95,35 @@ class TestSmooth:
         assert final is Label.BENIGN and not changed
 
 
-def deferral(event_ts, deadline):
-    return Deferral(event_ts, deadline, 0.5, event_ts, [0.0] * 12, (True, 0))
+def deferral(event_ts, window_id):
+    return Deferral(event_ts, 0.5, window_id, [0.0] * 12, (True, 0))
 
 
 class TestDeferralQueue:
+    # the pipeline asks for the deferrals due at the entity's event count
+    # ``seen`` as due_deferrals(seen - reeval_window)
+
     def test_due_at_deadline(self):
         # deferred at the entity's first event with a reeval_window of 2
         state = EnsembleState(CFG.smooth_window)
-        state.defer(deferral(event_ts=10, deadline=3))
-        assert state.due_deferrals(1) == []
-        assert state.due_deferrals(2) == []
-        due = state.due_deferrals(3)
+        state.defer(deferral(event_ts=10, window_id=1))
+        assert state.due_deferrals(1 - 2) == []
+        assert state.due_deferrals(2 - 2) == []
+        due = state.due_deferrals(3 - 2)
         assert len(due) == 1 and due[0].event_ts == 10
-        assert state.due_deferrals(4) == []
+        assert state.due_deferrals(4 - 2) == []
         assert not state.pending
 
     def test_drain_pops_everything(self):
         state = EnsembleState(CFG.smooth_window)
         for ts in (1, 2):
-            state.defer(deferral(event_ts=ts, deadline=99))
-        assert state.due_deferrals(2) == []
+            state.defer(deferral(event_ts=ts, window_id=ts))
+        assert state.due_deferrals(0) == []
         assert [d.event_ts for d in state.drain()] == [1, 2]
         assert not state.pending
 
     def test_immediate_deadline(self):
         # a reeval_window of 0: due at the event count that deferred it
         state = EnsembleState(CFG.smooth_window)
-        state.defer(deferral(event_ts=1, deadline=1))
-        assert len(state.due_deferrals(1)) == 1
+        state.defer(deferral(event_ts=1, window_id=1))
+        assert len(state.due_deferrals(1 - 0)) == 1
