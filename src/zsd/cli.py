@@ -17,6 +17,17 @@ from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
+# numpy starts an OpenBLAS worker thread per extra core at import, and
+# zsd's largest product (16x12 by 12x32) is far below the size at which
+# OpenBLAS hands work to one. Idle, that thread still takes CPU: 0.12 s
+# against 1.29 s on the main thread in one fleet-attack detect run of the
+# benchmark (2-vCPU VM), about 2.4 of the 20-25 us per event. So a zsd
+# process keeps BLAS on its own thread unless the user has set
+# OPENBLAS_NUM_THREADS. This must run before numpy is first imported
+# (zsd/__init__.py and .types do not import it); importing zsd.pipeline as
+# a library leaves the host process alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ensemble import ContractError
 from .ingest import EncodingError, EventStream, read_stream
 from .pipeline import run_detection, train_from_events

@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import ensemble as ens
-from .clustering import ReferenceSet, assign_raw
+from .clustering import ReferenceSet, assign_raw, put_row
 from .ensemble import Decision, Deferral, EnsembleState
 from .features import EntityWindow, extract_values
 from .scorer import Prefix, ScorerModel, TrainConfig, TrainResult, forward, train
@@ -98,7 +98,7 @@ class _EntityState:
         window = self.window
         window.append(event)
         values = extract_values(window)
-        self.recent[(window.seq - 1) % len(self.recent)] = values
+        put_row(self.recent, (window.seq - 1) % len(self.recent), values)
         return values
 
     def sequence(self) -> np.ndarray:
@@ -164,16 +164,18 @@ def train_from_events(
 
 @dataclass
 class RunStats:
-    """Run accounting. Timing fields are wall clock and therefore vary
-    between runs; verdict files are the reproducible artifact.
+    """Run accounting. Timing fields are wall clock or CPU time and
+    therefore vary between runs; verdict files are the reproducible artifact.
 
     throughput_eps and the latency percentiles cover the processing stage
     only (dequeue to verdict); parse_seconds is reported separately when
-    the caller parsed upfront. peak_retained_items counts buffered window
-    events + reference vectors + pending deferrals at the end of input,
-    before the flush: windows and reservoirs never shrink within a run, so
-    that is their high-water mark; deferrals resolved earlier are not
-    counted.
+    the caller parsed upfront. process_cpu_seconds is the process's CPU
+    time (every thread's) over the same stage as process_seconds; against
+    the wall clock it shows whether another thread burns CPU meanwhile.
+    peak_retained_items counts buffered window events + reference vectors +
+    pending deferrals at the end of input, before the flush: windows and
+    reservoirs never shrink within a run, so that is their high-water mark;
+    deferrals resolved earlier are not counted.
     lines_skipped and ts_out_of_order are the input's malformed lines and
     backwards timestamps, filled in by a caller that parsed the input.
     gate_scans counts this run's density-gate calls that scanned a
@@ -186,6 +188,7 @@ class RunStats:
     phase_counts: dict[str, int] = field(default_factory=dict)
     label_counts: dict[str, int] = field(default_factory=dict)
     process_seconds: float = 0.0
+    process_cpu_seconds: float = 0.0
     parse_seconds: float = 0.0
     throughput_eps: float = 0.0
     latency_ms_p50: float = 0.0
@@ -309,6 +312,7 @@ class Pipeline:
         perf = time.perf_counter_ns
         latency_ns = array("q")  # wall-clock ns per process_event call
         scans_before = self._gate_scans()
+        cpu_start = time.process_time()
         t_start = time.perf_counter()
         n = 0
         for event in events:
@@ -320,6 +324,7 @@ class Pipeline:
                    for s in self.entities.values())
         self.flush()
         elapsed = time.perf_counter() - t_start
+        cpu = time.process_time() - cpu_start
 
         verdicts = self.verdicts
         self.verdicts = []
@@ -334,6 +339,7 @@ class Pipeline:
             )
         stats = self._stats(verdicts, elapsed, held, latency_ns)
         stats.gate_scans = self._gate_scans() - scans_before
+        stats.process_cpu_seconds = cpu
         return verdicts, stats
 
     def _gate_scans(self) -> int:

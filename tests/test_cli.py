@@ -622,3 +622,33 @@ def test_detect_does_not_import_numpy_ma(simulated, model_path, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
+
+
+def test_detect_runs_on_one_thread(simulated, model_path, tmp_path):
+    # the CLI caps OpenBLAS at one thread before numpy loads, since no zsd
+    # product is large enough to use a second; a user's own setting wins,
+    # and importing the pipeline as a library sets nothing
+    import os
+    import subprocess
+    import sys
+
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    events, _ = simulated
+    detect = ("import os; from zsd.cli import main; "
+              f"rc = main(['detect', '--model', {str(model_path)!r}, '--input', "
+              f"{str(events)!r}, '-o', {str(tmp_path / 'v.jsonl')!r}]); ")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def child(code, **extra):
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={**env, **extra}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    assert child(detect + "print(rc, len(os.listdir('/proc/self/task')))") == "0 1"
+    assert child(detect + "print(rc, os.environ['OPENBLAS_NUM_THREADS'])",
+                 OPENBLAS_NUM_THREADS="2") == "0 2"
+    assert child("import os, zsd.pipeline; "
+                 "print(os.environ.get('OPENBLAS_NUM_THREADS'))") == "None"

@@ -300,6 +300,9 @@ def test_stats_shapes():
     verdicts, stats = run_detection(events, benign_model(), cfg)
     assert stats.events_in == len(events)
     assert stats.throughput_eps > 0
+    # one thread does the work, so the process's CPU time is about the wall
+    # time; the bound leaves room for clock granularity and descheduling
+    assert 0 < stats.process_cpu_seconds <= 2 * stats.process_seconds + 0.05
     assert 0 <= stats.latency_ms_p50 <= stats.latency_ms_p95 <= stats.latency_ms_p99
     assert stats.latency_ms_p99 <= stats.latency_ms_max
     assert stats.latency_ms_mean <= stats.latency_ms_max
@@ -321,7 +324,8 @@ def test_latency_is_per_run_and_nearest_rank(monkeypatch):
     readings = [r for k in range(1, 101) for r in (0, k * 1_000_000)]
     readings += [r for _ in range(100) for r in (0, 1_000_000)]
     monkeypatch.setattr(pipeline_mod, "time", SimpleNamespace(
-        perf_counter=time.perf_counter, perf_counter_ns=iter(readings).__next__))
+        perf_counter=time.perf_counter, perf_counter_ns=iter(readings).__next__,
+        process_time=time.process_time))
     pipe = Pipeline(benign_model(), validate_config(PipelineConfig()))
     events = busy_mixed_stream(200, seed=5)
     _, first = pipe.run(events[:100])

@@ -8,9 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsd.clustering import ReferenceSet, assign
+from zsd.clustering import ReferenceSet, assign, assign_raw
 from zsd.features import EntityWindow, extract_values
-from zsd.pipeline import run_detection
+from zsd.pipeline import _EntityState, run_detection
 from zsd.scorer import ScorerModel
 from zsd.types import Event, EventKind, PipelineConfig, validate_config
 
@@ -101,6 +101,29 @@ def test_decision_only_gate_matches_brute_force(capacity, min_pts, length,
         else:
             assert a.neighbor_count == 0
         retained = (retained + [p])[-capacity:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(events(entity=st.just("e"), ts=st.integers(0, 5_000_000)),
+                min_size=17, max_size=120),
+       st.integers(3, 40), st.integers(1, 6), st.sampled_from([0.05, 0.3, 2.0]))
+def test_stored_rows_are_the_vectors_bits(stream, capacity, min_pts, eps):
+    # every retained row of the feature ring and of the reservoir holds the
+    # bits numpy gives its vector, through reservoir growth, both rings'
+    # wrap and every branch of the gate: count bound, shortcut and scan
+    cfg = validate_config(PipelineConfig(**{**CFG, "reference_capacity": capacity}))
+    state = _EntityState("e", cfg)
+    ref = state.ref
+    stored: list[bytes] = []  # vector i's bytes, as np.array makes them
+    for event in stream:
+        values = state.push(event)
+        stored.append(np.array(values, dtype=np.float64).tobytes())
+        assign_raw(values, ref, eps, min_pts)
+        seen = len(stored)
+        for i in range(max(0, seen - cfg.seq_len), seen):
+            assert state.recent[i % cfg.seq_len].tobytes() == stored[i]
+        for i in range(max(0, seen - capacity), seen):
+            assert ref.pts[i % capacity].tobytes() == stored[i]
 
 
 @settings(max_examples=60, deadline=None)
